@@ -3,21 +3,15 @@
 Everything here works on plain float64 numpy arrays: matrices are 2-D,
 vectors are 1-D. Least-squares solves go through Householder QR (never the
 normal equations) with an explicit rank check on the diagonal of R.
-Orthogonal projectors are materialized as explicit n x n matrices; at the
-sample sizes this package targets (hundreds of rows) clarity wins over
-operator tricks.
+:func:`projector` returns an explicit n x n matrix and is kept for callers
+that want one; the fitting code never calls it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonSquareError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from .errors import DimensionMismatchError, RankDeficientError
 
 __all__ = [
     "as_matrix",
@@ -25,9 +19,6 @@ __all__ = [
     "qr_least_squares",
     "projector",
     "require_full_column_rank",
-    "sym_inverse_2x2",
-    "sym_inverse_2x2_lower_right",
-    "trace",
 ]
 
 
@@ -123,32 +114,3 @@ def projector(a) -> np.ndarray:
     q, r = np.linalg.qr(m, mode="reduced")
     _check_r_diagonal(r, n)
     return q @ q.T
-
-
-def sym_inverse_2x2(s) -> np.ndarray:
-    """Inverse of a symmetric positive definite 2x2 matrix, in closed form."""
-    m = as_matrix(s, "S")
-    if m.shape != (2, 2):
-        raise DimensionMismatchError(f"expected a 2x2 matrix, got {m.shape}")
-    if abs(m[0, 1] - m[1, 0]) > 1e-8 * max(1.0, np.abs(m).max()):
-        raise ValueError("matrix is not symmetric")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= 0.0 or m[0, 0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (det={det:.6g}, s11={m[0, 0]:.6g})"
-        )
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-
-def sym_inverse_2x2_lower_right(s) -> float:
-    """Element (2, 2) of the inverse of a symmetric positive definite 2x2
-    matrix, i.e. S_11 / det(S)."""
-    return float(sym_inverse_2x2(s)[1, 1])
-
-
-def trace(a) -> float:
-    """Sum of the diagonal entries of a square matrix."""
-    m = as_matrix(a, "A")
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"trace needs a square matrix, got {m.shape}")
-    return float(np.trace(m))

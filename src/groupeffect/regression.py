@@ -6,9 +6,18 @@ holds the covariate columns. The same fit is available two ways:
 
 * :func:`fit_monolithic` solves the full design in one least-squares pass;
 * :func:`fit_fwl` partials the covariates out first (regress y on the
-  group-centered covariates, then regress the adjusted response on X1).
+  group-centered covariates, then read the group block off the group means).
 
-The two agree to floating-point accuracy; keeping both routes makes that
+Centering within groups is the annihilator M1 of X1, so the partialled-out
+fit needs only the group counts, the group means of [X2 | y] and R, the
+(w+1) x (w+1) triangular factor of the group-centered [X2 | y]. From R
+follow the covariate coefficients, gamma and both R^2 values; cost and
+memory are linear in n and no n x n matrix is formed. Stacking R on the
+between-group row sqrt(n1 n2 / n) (mean1 - mean2) and re-triangularizing
+gives the factor of the overall-centered [X2 | y], i.e. the reduced model
+without the group dummy (the pairwise update of Chan, Golub & LeVeque).
+
+The two routes agree to floating-point accuracy; keeping both makes that
 equivalence testable instead of assumed.
 """
 
@@ -39,11 +48,7 @@ __all__ = [
     "sigma2_hat",
     "group_summaries",
     "r_squared_pair",
-    "annihilator_group",
-    "annihilator_covariates",
-    "delta1_scaled_covariance",
     "delta1_from_adjusted",
-    "residual_quadratic_matrix",
     "coefficient_names",
     "standard_errors",
 ]
@@ -186,55 +191,10 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     )
 
 
-def annihilator_group(design: PartitionedDesign) -> np.ndarray:
-    """I_n minus the projector onto the intercept+dummy columns.
-
-    Applying this matrix centers a vector within each group; it is block
-    diagonal with blocks I - ones/n_j when rows are group-sorted.
-    """
-    n = design.n
-    return np.eye(n) - linalg.projector(design.x1)
-
-
-def annihilator_covariates(design: PartitionedDesign) -> np.ndarray:
-    """I_n minus the projector onto the covariate columns (identity if w=0)."""
-    n = design.n
-    if design.w == 0:
-        return np.eye(n)
-    return np.eye(n) - linalg.projector(design.x2)
-
-
-def delta1_scaled_covariance(design: PartitionedDesign) -> np.ndarray:
-    """Inverse of X1' M2 X1: the covariance of the (intercept, group)
-    estimates divided by the error variance.
-
-    Its lower-right element is gamma, the scale factor in
-    Var(beta1_hat) = sigma^2 * gamma.
-    """
-    m2 = annihilator_covariates(design)
-    s = design.x1.T @ m2 @ design.x1
-    s = (s + s.T) / 2.0  # symmetrize away rounding
-    return linalg.sym_inverse_2x2(s)
-
-
 def delta1_from_adjusted(design: PartitionedDesign, y_star) -> np.ndarray:
     """Recover (intercept, group coefficient) by regressing the adjusted
     response on X1 alone; equals the full-design estimates."""
     return linalg.qr_least_squares(design.x1, y_star)
-
-
-def residual_quadratic_matrix(design: PartitionedDesign) -> np.ndarray:
-    """The symmetric idempotent L with y'Ly = residual sum of squares.
-
-    L = M1 - M1 X2 (X2' M1 X2)^-1 X2' M1; it annihilates both X1 and X2 and
-    has trace n - 2 - w.
-    """
-    m1 = annihilator_group(design)
-    if design.w == 0:
-        return m1
-    b = m1 @ design.x2
-    g = design.x2.T @ b
-    return m1 - b @ np.linalg.solve(g, b.T)
 
 
 def _group_stats(design: PartitionedDesign, v: np.ndarray):
@@ -247,34 +207,52 @@ def _group_stats(design: PartitionedDesign, v: np.ndarray):
     return out
 
 
+def _group_core(design: PartitionedDesign):
+    """Group means of [X2 | y] and the R factor of the group-centered [X2 | y].
+
+    Returns (mean1, mean2, r) with r of shape (w+1, w+1): its leading w x w
+    block factors X2' M1 X2, its last column above the diagonal carries
+    X2' M1 y, and r[w, w]^2 is the residual sum of squares of the full model.
+    """
+    m = np.column_stack([design.x2, design.y])
+    g1, g2 = m[: design.n1], m[design.n1:]
+    mean1, mean2 = g1.mean(axis=0), g2.mean(axis=0)
+    r = np.linalg.qr(np.vstack([g1 - mean1, g2 - mean2]), mode="r")
+    return mean1, mean2, r
+
+
 def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:
     """Fit by solving the full design (X1, X2) in a single pass."""
     x = np.hstack([design.x1, design.x2])
     coef = linalg.qr_least_squares(x, design.y)
-    return _finish_fit(design, coef[:2], coef[2:])
+    return _finish_fit(design, coef[:2], coef[2:], _group_core(design))
 
 
 def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
     """Fit by partialling out: covariate coefficients from the group-centered
-    regression, then the group block from the adjusted response.
+    regression, then the group block from the group means of the adjusted
+    response.
 
-    With no covariates this is simply the regression of y on X1.
+    With no covariates this is simply the two group means.
     """
-    if design.w:
-        m1 = annihilator_group(design)
-        delta2 = linalg.qr_least_squares(m1 @ design.x2, m1 @ design.y)
-    else:
-        delta2 = np.empty(0)
-    y_star = design.y - design.x2 @ delta2
-    delta1 = delta1_from_adjusted(design, y_star)
-    return _finish_fit(design, delta1, delta2)
+    core = _group_core(design)
+    mean1, mean2, r = core
+    w = design.w
+    delta2 = np.linalg.solve(r[:w, :w], r[:w, w]) if w else np.empty(0)
+    beta0 = mean1[w] - mean1[:w] @ delta2
+    beta1 = (mean2[w] - mean1[w]) - (mean2[:w] - mean1[:w]) @ delta2
+    return _finish_fit(design, np.array([beta0, beta1]), delta2, core)
 
 
-def _finish_fit(design, delta1, delta2) -> PartitionedFit:
+def _finish_fit(design, delta1, delta2, core) -> PartitionedFit:
+    mean1, mean2, r = core
+    w = design.w
     y_star = design.y - design.x2 @ delta2
     sig2 = sigma2_hat(design, delta2)
-    gamma = float(delta1_scaled_covariance(design)[1, 1])
-    r2, r02 = r_squared_pair(design)
+    # Var(beta1) / sigma^2 = 1/n1 + 1/n2 + (xbar1 - xbar2)' (X2' M1 X2)^-1 (xbar1 - xbar2)
+    v = np.linalg.solve(r[:w, :w].T, mean1[:w] - mean2[:w]) if w else np.empty(0)
+    gamma = 1.0 / design.n1 + 1.0 / design.n2 + float(v @ v)
+    r2, r02 = _r_squared_from_core(design, core)
     return PartitionedFit(
         delta1_hat=np.asarray(delta1, dtype=float),
         delta2_hat=np.asarray(delta2, dtype=float),
@@ -322,24 +300,21 @@ def group_summaries(design: PartitionedDesign, y_star) -> tuple[GroupSummary, Gr
 def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:
     """Coefficients of determination of the full model and of the reduced
     model that drops the group dummy (intercept plus covariates only)."""
-    y = design.y
-    if np.ptp(y) == 0.0:
+    return _r_squared_from_core(design, _group_core(design))
+
+
+def _r_squared_from_core(design: PartitionedDesign, core) -> tuple[float, float]:
+    if np.ptp(design.y) == 0.0:
         raise DegenerateResponseError("response is constant")
-    centered = y - y.mean()
-    total_ss = float(centered @ centered)
+    mean1, mean2, r = core
+    w = design.w
+    between = np.sqrt(design.n1 * design.n2 / design.n) * (mean1 - mean2)
+    r0 = np.linalg.qr(np.vstack([r, between]), mode="r")
+    total_ss = float(r0[:, w] @ r0[:, w])
     if total_ss == 0.0:
         raise DegenerateResponseError("response has zero centered sum of squares")
-
-    full = np.hstack([design.x1, design.x2])
-    reduced = np.hstack([np.ones((design.n, 1)), design.x2])
-
-    def rss(x):
-        p = linalg.projector(x)
-        resid = y - p @ y
-        return max(float(y @ resid), 0.0)
-
-    r2 = 1.0 - rss(full) / total_ss
-    r02 = 1.0 - rss(reduced) / total_ss
+    r2 = 1.0 - float(r[w, w]) ** 2 / total_ss
+    r02 = 1.0 - float(r0[w, w]) ** 2 / total_ss
     return r2, r02
 
 

