@@ -24,6 +24,9 @@ from .dataio import histogram, load_column, load_csv
 from .distributions import PValueResult, f_upper_p, t_two_sided_p
 from .effects import d_from_beta, effect_report, f_squared_from_r2
 from .errors import DataError, NumericError
+# group_summaries is no longer called here (the reports reuse
+# EffectReport.groups); it stays importable as cli.group_summaries, the name
+# bench/spans.py traces.
 from .regression import (
     build_design,
     coefficient_names,
@@ -36,6 +39,9 @@ from .regression import (
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# Default hist edges are unit bins over [floor(min), floor(max) + 1]; past
+# this many bins the user must pass --edges.
+MAX_DEFAULT_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,7 @@ def _report_json(config, ds, design, fit, report) -> dict:
         }
         for name, est, se, tv in zip(names, estimates, ses, tvals)
     ]
-    g1, g2 = group_summaries(design, fit.y_star)
+    g1, g2 = report.groups
     sign = -1.0 if fit.beta1 > 0 else 1.0  # d has group1 - group2 in the numerator
     f2_from_r2 = f_squared_from_r2(fit.r_squared, fit.r0_squared)
     d_routes = {
@@ -240,7 +246,7 @@ def _report_json(config, ds, design, fit, report) -> dict:
 def _effect_text(config, ds, design, fit, report) -> str:
     p = config.precision
     g1_label, g2_label = design.group_labels
-    g1, g2 = group_summaries(design, fit.y_star)
+    g1, g2 = report.groups
     kind = "classic" if design.w == 0 else "covariate-adjusted"
     lines = [
         f"data: {ds.source} ({ds.n_rows} rows used, {ds.dropped_rows} dropped)",
@@ -314,6 +320,11 @@ def cmd_hist(config: AnalysisConfig, edges=None) -> int:
     if edges is None:
         lo = math.floor(values.min())
         hi = math.floor(values.max())
+        if hi - lo + 1 > MAX_DEFAULT_BINS:
+            raise DataError(
+                f"default unit bins over [{lo}, {hi + 1}] would make {hi - lo + 1} "
+                f"bins (limit {MAX_DEFAULT_BINS}); pass --edges"
+            )
         edges = [float(e) for e in range(lo, hi + 2)]
     counts = histogram(values, edges)
     if config.output_format == "json":

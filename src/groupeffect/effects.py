@@ -49,7 +49,8 @@ class EffectReport:
     ``d`` is the covariate-adjusted standardized mean difference; with no
     covariates it is the classic Cohen's d. ``u`` is the number of tested
     predictors (always 1 here: the group dummy) and ``v`` the residual
-    degrees of freedom, so ``v == df``.
+    degrees of freedom, so ``v == df``. ``groups`` holds the (group 1,
+    group 2) summaries the report was computed from.
     """
 
     d: float
@@ -64,6 +65,7 @@ class EffectReport:
     p_value: float
     magnitude_d: str
     magnitude_f2: str
+    groups: tuple[GroupSummary, GroupSummary] | None = None
 
 
 def cohens_d(g1: GroupSummary, g2: GroupSummary) -> float:
@@ -185,4 +187,5 @@ def effect_report(design: PartitionedDesign, fit: PartitionedFit) -> EffectRepor
         p_value=t_two_sided_p(t, design.df),
         magnitude_d=mag_d,
         magnitude_f2=mag_f2,
+        groups=(g1, g2),
     )

@@ -113,3 +113,10 @@ class EmptyAfterFilteringError(DataError):
 
 class UnsortedEdgesError(DataError):
     pass
+
+
+class DuplicateColumnError(DataError):
+    def __init__(self, name, count):
+        self.name = name
+        self.count = count
+        super().__init__(f"column {name!r} occurs {count} times in header")

@@ -221,3 +221,73 @@ class TestHistCommand:
         )
         assert code == 2
         assert "UnsortedEdges" in err
+
+    def test_default_bins_are_capped(self, capsys, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text("y\n0\n1000000\n", encoding="utf-8")
+        code, out, err = run(capsys, "hist", "--data", str(path), "--response", "y")
+        assert code == 2 and out == ""
+        assert "--edges" in err and "10000" in err
+        code, out, _ = run(capsys, "hist", "--data", str(path), "--response", "y",
+                           "--edges", "0,1000000")
+        assert code == 0 and out.strip() == "0,1000000,2"
+
+    def test_default_bins_at_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text("y\n0\n9999.5\n", encoding="utf-8")
+        code, out, _ = run(capsys, "hist", "--data", str(path), "--response", "y")
+        assert code == 0 and len(out.splitlines()) == 10_000
+
+
+class TestInputHeaders:
+    def test_utf8_bom_file(self, capsys, tmp_path):
+        text = "y;g\n1;A\n2;B\n4;A\n8;B\n3;A\n5;B\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for command, extra in (("effect", ["--group", "g"]), ("hist", [])):
+            want = run(capsys, command, "--data", str(plain), "--response", "y", *extra)
+            code, out, err = run(capsys, command, "--data", str(bom), "--response", "y",
+                                 *extra)
+            assert code == 0 and err == ""
+            assert out.replace(str(bom), str(plain)) == want[1]
+
+    @pytest.mark.parametrize("command", ["effect", "hist"])
+    def test_selected_duplicate_header_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "dup.csv"
+        path.write_text("g;y;y\nA;1;10\nB;2;20\nA;3;30\nB;4;40\n", encoding="utf-8")
+        argv = [command, "--data", str(path), "--response", "y"]
+        if command == "effect":
+            argv += ["--group", "g"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "DuplicateColumnError" in err and "'y'" in err
+
+    @pytest.mark.parametrize("command", ["effect", "hist"])
+    def test_unselected_duplicate_header_allowed(self, capsys, tmp_path, command):
+        path = tmp_path / "dup.csv"
+        path.write_text("g;y;z;z\nA;1;0;0\nB;2;0;0\nA;4;0;0\nB;8;0;0\n",
+                        encoding="utf-8")
+        argv = [command, "--data", str(path), "--response", "y"]
+        if command == "effect":
+            argv += ["--group", "g"]
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
+
+class TestReportReuse:
+    @pytest.mark.parametrize("command, fmt", [
+        ("effect", "json"), ("effect", "text"), ("fit", "json")])
+    def test_group_summaries_computed_once(self, capsys, monkeypatch, command, fmt):
+        from groupeffect import cli, effects, regression
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return regression.group_summaries(*args)
+
+        monkeypatch.setattr(effects, "group_summaries", counted)
+        monkeypatch.setattr(cli, "group_summaries", counted)
+        code, _, _ = run(capsys, command, *student_args("Fedu"), "--format", fmt)
+        assert code == 0 and len(calls) == 1

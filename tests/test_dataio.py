@@ -1,8 +1,15 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupeffect import Dataset, histogram, load_column, load_csv
+from groupeffect.dataio import _parse_number, _read
 from groupeffect.errors import (
+    DuplicateColumnError,
     EmptyAfterFilteringError,
     MissingColumnError,
     NotBinaryGroupError,
@@ -128,6 +135,220 @@ class TestLoadColumn:
     def test_missing_column(self, tmp_path):
         with pytest.raises(MissingColumnError):
             load_column(write(tmp_path, BASIC), "zzz")
+
+
+def reference_read(path, numeric_cols, group_col, delimiter=";"):
+    """Row-by-row reader: every selected cell through _parse_number."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader)
+        idx = [header.index(name) for name in numeric_cols]
+        g = None if group_col is None else header.index(group_col)
+        width = max(idx + ([] if g is None else [g])) + 1
+        values, labels, dropped = [], [], 0
+        for row in reader:
+            vals = [_parse_number(row[j]) for j in idx] if len(row) >= width else [None]
+            if None in vals or (g is not None and row[g] == ""):
+                dropped += 1
+                continue
+            values.append(vals)
+            if g is not None:
+                labels.append(row[g])
+    return np.array(values, dtype=float).reshape(-1, len(idx)), labels, dropped
+
+
+def write_rows(path, header, rows, quote_all=False):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=";", lineterminator="\n",
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+ADVERSARIAL = ["", " ", ".", "+-1", "1.2.3", "1e5", "nan", "1_0", "\u0661\u0662",
+               "\x1f7", "\x0b8\x0c", "1|2", "+.5"]
+
+
+@st.composite
+def tables(draw):
+    """A mostly clean table of (g, x0, ..) rows with adversarial cells, empty
+    labels and short rows injected at drawn positions."""
+    n = draw(st.integers(0, 300))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        ["A" if rng.uniform() < 0.5 else "B",
+         *(f"{v:.{d}f}" for v, d in zip(rng.normal(0, 50, k), rng.integers(0, 4, k)))]
+        for _ in range(n)
+    ]
+    if n:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, k),
+                          st.sampled_from(ADVERSARIAL))
+        for r, c, cell in draw(st.lists(cells, max_size=12)):
+            rows[r][c] = cell
+        for r, keep in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                               st.integers(0, k)), max_size=3)):
+            del rows[r][keep:]
+    header = ["g", *(f"x{j}" for j in range(k))]
+    return header, rows, draw(st.booleans()), draw(st.booleans())
+
+
+class TestBlockReader:
+    """The block reader must agree cell for cell with the per-cell path."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_matches_per_cell_reference(self, tmp_path_factory, table):
+        header, rows, quote_all, grouped = table
+        path = write_rows(tmp_path_factory.mktemp("t") / "t.csv", header, rows,
+                          quote_all)
+        numeric = header[1:][::-1]  # selection order differs from file order
+        group = "g" if grouped else None
+        values, labels, dropped = _read(path, numeric, group, ";")
+        want_values, want_labels, want_dropped = reference_read(path, numeric, group)
+        np.testing.assert_array_equal(values, want_values)
+        assert labels == want_labels
+        assert dropped == want_dropped
+        assert len(values) + dropped == len(rows)
+
+    @pytest.mark.parametrize("bad", ["", "NA", " ", "1e5", "1|2", "+-1"])
+    @pytest.mark.parametrize("column", ["y", "x"])
+    def test_bad_rows_at_block_boundaries(self, tmp_path, bad, column):
+        bad_at = {63, 64, 65, 128}
+        rows = [["A" if i % 2 else "B", f"{i}.5", str(-i)] for i in range(200)]
+        for i in bad_at:
+            rows[i][1 if column == "y" else 2] = bad
+        path = write_rows(tmp_path / "b.csv", ["g", "y", "x"], rows)
+        kept = [i for i in range(200) if i not in bad_at]
+        ds = load_csv(path, response_col="y", group_col="g", covariate_cols=["x"])
+        np.testing.assert_array_equal(ds.response, [i + 0.5 for i in kept])
+        np.testing.assert_array_equal(ds.covariates[0][1], [-i for i in kept])
+        assert ds.group_labels == tuple(rows[i][0] for i in kept)
+        assert ds.dropped_rows == 4
+        values, dropped = load_column(path, column)
+        assert len(values) == 196 and dropped == 4
+
+    @pytest.mark.parametrize("cell, value", [
+        ("\x1f7", 7.0), ("\u0661\u0662", 12.0), ("\x0b8\x0c", 8.0)])
+    def test_cells_only_the_exact_path_accepts(self, tmp_path, cell, value):
+        # str.strip() removes \x1f and float() reads Arabic-Indic digits, so
+        # these rows are kept although the block check rejects them
+        rows = [["A" if i % 2 else "B", str(i)] for i in range(200)]
+        for i in (63, 64, 65, 128):
+            rows[i][1] = cell
+        path = write_rows(tmp_path / "s.csv", ["g", "y"], rows)
+        want = [value if i in (63, 64, 65, 128) else i for i in range(200)]
+        ds = load_csv(path, response_col="y", group_col="g")
+        np.testing.assert_array_equal(ds.response, want)
+        values, dropped = load_column(path, "y")
+        np.testing.assert_array_equal(values, want)
+        assert ds.dropped_rows == dropped == 0
+
+    def test_empty_labels_at_block_boundaries(self, tmp_path):
+        rows = [["A" if i % 2 else "B", str(i)] for i in range(200)]
+        for i in (63, 64, 65, 128):
+            rows[i][0] = ""
+        ds = load_csv(write_rows(tmp_path / "e.csv", ["g", "y"], rows),
+                      response_col="y", group_col="g")
+        assert ds.dropped_rows == 4 and ds.n_rows == 196
+        assert "" not in ds.group_labels
+
+    def test_short_rows_quoted_cells_and_empty_label(self, tmp_path):
+        text = (
+            "g;y;x\n"
+            "A;1;2\n"
+            'B;"3.5";" 4 "\n'
+            "A;5\n"            # short row
+            ";6;7\n"           # empty group label
+            "\n"               # blank line
+            "B;7;8\n"
+            '"A";"9";10\n'
+            "B;11;12\n"
+        )
+        path = write(tmp_path, text)
+        ds = load_csv(path, response_col="y", group_col="g", covariate_cols=["x"])
+        np.testing.assert_array_equal(ds.response, [1, 3.5, 7, 9, 11])
+        np.testing.assert_array_equal(ds.covariates[0][1], [2, 4, 8, 10, 12])
+        assert ds.group_labels == ("A", "B", "B", "A", "B")
+        assert ds.dropped_rows == 3
+        values, dropped = load_column(path, "x")
+        np.testing.assert_array_equal(values, [2, 4, 7, 8, 10, 12])
+        assert dropped == 2
+
+    def test_quoted_numeric_cells_in_full_blocks(self, tmp_path):
+        rows = [["A" if i % 2 else "B", f" {i}.25 ", f"+{i}"] for i in range(150)]
+        path = write_rows(tmp_path / "q.csv", ["g", "y", "x"], rows, quote_all=True)
+        ds = load_csv(path, response_col="y", group_col="g", covariate_cols=["x"])
+        np.testing.assert_array_equal(ds.response, np.arange(150) + 0.25)
+        np.testing.assert_array_equal(ds.covariates[0][1], np.arange(150))
+        assert ds.dropped_rows == 0
+
+    def test_columns_are_contiguous(self, tmp_path):
+        ds = load_csv(write(tmp_path, BASIC), response_col="score",
+                      group_col="grp", covariate_cols=["age", "id"])
+        for col in (ds.response, *(c for _, c in ds.covariates)):
+            assert col.flags.c_contiguous and col.dtype == np.float64
+
+    def test_load_column_memory_stays_below_a_float_list(self, tmp_path):
+        # a Python list of 100k floats alone takes ~3.2 MB
+        path = tmp_path / "tall.csv"
+        rng = np.random.default_rng(7)
+        grades = rng.integers(0, 21, 100_000).astype(str).astype(object)
+        grades[rng.choice(100_000, 1000, replace=False)] = "NA"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("school;sex;age;G3\n")
+            fh.writelines(f'"GP";"F";17;{g}\n' for g in grades)
+        tracemalloc.start()
+        try:
+            values, dropped = load_column(path, "G3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(values), dropped) == (99_000, 1000)
+        assert peak < 3_000_000
+
+
+class TestHeaders:
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BASIC.encode("utf-8"))
+        ds = load_csv(path, response_col="score", group_col="grp",
+                      covariate_cols=["id"])
+        np.testing.assert_array_equal(ds.covariates[0][1], [1, 2, 3, 4, 5])
+        values, _ = load_column(path, "id")
+        np.testing.assert_array_equal(values, [1, 2, 3, 4, 5])
+
+    def test_selected_duplicate_raises(self, tmp_path):
+        path = write(tmp_path, "g;y;y\nA;1;10\nB;2;20\nA;3;30\nB;4;40\n")
+        with pytest.raises(DuplicateColumnError) as err:
+            load_csv(path, response_col="y", group_col="g")
+        assert (err.value.name, err.value.count) == ("y", 2)
+        with pytest.raises(DuplicateColumnError):
+            load_column(path, "y")
+
+    def test_duplicate_group_or_covariate_raises(self, tmp_path):
+        path = write(tmp_path, "g;y;x;g;x\nA;1;2;A;2\n")
+        with pytest.raises(DuplicateColumnError) as err:
+            load_csv(path, response_col="y", group_col="g")
+        assert err.value.name == "g"
+        path = write(tmp_path, "g;y;x;x\nA;1;2;2\n")
+        with pytest.raises(DuplicateColumnError) as err:
+            load_csv(path, response_col="y", group_col="g", covariate_cols=["x"])
+        assert err.value.name == "x"
+
+    def test_unselected_duplicate_allowed(self, tmp_path):
+        path = write(tmp_path, "g;note;y;note\nA;a;1;b\nB;c;2;d\nA;e;3;f\nB;g;4;h\n")
+        ds = load_csv(path, response_col="y", group_col="g")
+        np.testing.assert_array_equal(ds.response, [1, 2, 3, 4])
+        values, _ = load_column(path, "y")
+        np.testing.assert_array_equal(values, [1, 2, 3, 4])
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(EmptyAfterFilteringError):
+            load_column(write(tmp_path, ""), "y")
+        with pytest.raises(EmptyAfterFilteringError):
+            load_csv(write(tmp_path, "\ufeff"), response_col="y", group_col="g")
 
 
 class TestDatasetValidation:
