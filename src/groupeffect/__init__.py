@@ -7,7 +7,6 @@ and summarize with :func:`effect_report`.
 
 from .dataio import Dataset, histogram, load_column, load_csv
 from .distributions import (
-    PValueResult,
     f_upper_p,
     regularized_incomplete_beta,
     t_two_sided_p,
@@ -45,7 +44,6 @@ __all__ = [
     "Dataset",
     "EffectReport",
     "GroupSummary",
-    "PValueResult",
     "PartitionedDesign",
     "PartitionedFit",
     "build_design",

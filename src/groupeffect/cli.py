@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import histogram, load_column, load_csv
-from .distributions import PValueResult, f_upper_p, t_two_sided_p
+from .distributions import f_upper_p, t_two_sided_p
 from .effects import d_from_beta, effect_report, f_squared_from_r2
 from .errors import DataError, NumericError
 # group_summaries is no longer called here (the reports reuse
@@ -190,12 +190,6 @@ def _report_json(config, ds, design, fit, report) -> dict:
         "from_coefficient": sign * d_from_beta(fit.beta1, math.sqrt(fit.sigma2_hat)),
         "from_f_squared": sign * math.sqrt(f2_from_r2 * report.gamma * design.df),
     }
-    p_results = [
-        PValueResult(statistic=report.t, df1=report.df, df2=None,
-                     p_two_sided=report.p_value),
-        PValueResult(statistic=report.f_stat, df1=report.u, df2=report.v,
-                     p_two_sided=f_upper_p(report.f_stat, report.u, report.v)),
-    ]
     return {
         "config": _config_dict(config),
         "data_summary": _data_summary(ds, design),
@@ -232,13 +226,10 @@ def _report_json(config, ds, design, fit, report) -> dict:
             },
         },
         "distributions": [
-            {
-                "statistic": r.statistic,
-                "df1": r.df1,
-                "df2": r.df2,
-                "p_two_sided": r.p_two_sided,
-            }
-            for r in p_results
+            {"statistic": report.t, "df1": report.df, "df2": None,
+             "p_two_sided": report.p_value},
+            {"statistic": report.f_stat, "df1": report.u, "df2": report.v,
+             "p_two_sided": f_upper_p(report.f_stat, report.u, report.v)},
         ],
     }
 

@@ -27,6 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateColumnError,
     EmptyAfterFilteringError,
     MissingColumnError,
@@ -95,79 +96,87 @@ def _read(path, numeric_cols, group_col, delimiter):
 
     Returns (values, labels, dropped): ``values`` is an (m, k) float64 array
     of the k ``numeric_cols`` for the m kept rows, ``labels`` the kept rows'
-    ``group_col`` cells (empty when ``group_col`` is None).
+    ``group_col`` cells (empty when ``group_col`` is None). Bytes that are
+    not UTF-8 and rows the csv module rejects (such as a field over
+    ``csv.field_size_limit()``) raise DataError.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyAfterFilteringError(f"{path} is empty") from None
-        selected = list(numeric_cols)
-        if group_col is not None:
-            selected.insert(1, group_col)  # checked as response, group, covariates
-        for name in selected:
-            count = header.count(name)
-            if count == 0:
-                raise MissingColumnError(name)
-            if count > 1:
-                raise DuplicateColumnError(name, count)
-        idx = [header.index(name) for name in numeric_cols]
-        label = None if group_col is None else itemgetter(header.index(group_col))
-        width = max(map(header.index, selected)) + 1
-        k = len(idx)
-        pick = itemgetter(*idx)  # a bare cell when k == 1, else a tuple
-
-        def cells_of(rows):
-            picked = map(pick, rows)  # IndexError: a row too short
-            return list(picked if k == 1 else chain.from_iterable(picked))
-
-        def convert(cells):
-            # all of the cells at once, or None if any needs a closer look
-            text = "|".join(cells)
-            if not (text.isascii() and _BLOCK_RE.fullmatch(text)
-                    and text.count("|") == len(cells) - 1 and "||" not in text
-                    and text[0] != "|" and text[-1] != "|"):
-                return None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
             try:
-                return np.fromiter(map(float, cells), float, len(cells))
-            except ValueError:  # e.g. "+-1", "1.2.3", " "
-                return None
+                header = next(reader)
+            except StopIteration:
+                raise EmptyAfterFilteringError(f"{path} is empty") from None
+            selected = list(numeric_cols)
+            if group_col is not None:
+                selected.insert(1, group_col)  # checked as response, group, covariates
+            for name in selected:
+                count = header.count(name)
+                if count == 0:
+                    raise MissingColumnError(name)
+                if count > 1:
+                    raise DuplicateColumnError(name, count)
+            idx = [header.index(name) for name in numeric_cols]
+            label = None if group_col is None else itemgetter(header.index(group_col))
+            width = max(map(header.index, selected)) + 1
+            k = len(idx)
+            pick = itemgetter(*idx)  # a bare cell when k == 1, else a tuple
 
-        def complete(row):
-            return len(row) >= width and (label is None or label(row) != "")
+            def cells_of(rows):
+                picked = map(pick, rows)  # IndexError: a row too short
+                return list(picked if k == 1 else chain.from_iterable(picked))
 
-        def exact(cells):
-            vals = list(map(_parse_number, cells))
-            return None if None in vals else np.array(vals)
+            def convert(cells):
+                # all of the cells at once, or None if any needs a closer look
+                text = "|".join(cells)
+                if not (text.isascii() and _BLOCK_RE.fullmatch(text)
+                        and text.count("|") == len(cells) - 1 and "||" not in text
+                        and text[0] != "|" and text[-1] != "|"):
+                    return None
+                try:
+                    return np.fromiter(map(float, cells), float, len(cells))
+                except ValueError:  # e.g. "+-1", "1.2.3", " "
+                    return None
 
-        blocks, labels, dropped = [], [], 0
-        for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-            try:
-                cells = cells_of(rows)
-                all_complete = label is None or all(map(label, rows))
-            except IndexError:
-                all_complete = False
-            if not all_complete:  # drop short rows and empty labels first
-                kept = list(filter(complete, rows))
-                dropped += len(rows) - len(kept)
-                rows, cells = kept, cells_of(kept)
-            # cells that fail are found by halving the block down to single
-            # rows, which take the exact per-cell path; the stack keeps order
-            stack = [(rows, cells)] if rows else []
-            while stack:
-                rows, cells = stack.pop()
-                vals = convert(cells) if len(rows) > 1 else exact(cells)
-                if vals is not None:
-                    blocks.append(vals)
-                    if label is not None:
-                        labels.extend(map(label, rows))
-                elif len(rows) > 1:
-                    half = len(rows) // 2
-                    stack += [(rows[half:], cells[half * k:]),
-                              (rows[:half], cells[:half * k])]
-                else:
-                    dropped += 1
+            def complete(row):
+                return len(row) >= width and (label is None or label(row) != "")
+
+            def exact(cells):
+                vals = list(map(_parse_number, cells))
+                return None if None in vals else np.array(vals)
+
+            blocks, labels, dropped = [], [], 0
+            for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+                try:
+                    cells = cells_of(rows)
+                    all_complete = label is None or all(map(label, rows))
+                except IndexError:
+                    all_complete = False
+                if not all_complete:  # drop short rows and empty labels first
+                    kept = list(filter(complete, rows))
+                    dropped += len(rows) - len(kept)
+                    rows, cells = kept, cells_of(kept)
+                # cells that fail are found by halving the block down to single
+                # rows, which take the exact per-cell path; the stack keeps order
+                stack = [(rows, cells)] if rows else []
+                while stack:
+                    rows, cells = stack.pop()
+                    vals = convert(cells) if len(rows) > 1 else exact(cells)
+                    if vals is not None:
+                        blocks.append(vals)
+                        if label is not None:
+                            labels.extend(map(label, rows))
+                    elif len(rows) > 1:
+                        half = len(rows) // 2
+                        stack += [(rows[half:], cells[half * k:]),
+                                  (rows[:half], cells[:half * k])]
+                    else:
+                        dropped += 1
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
+                        f"(byte 0x{exc.object[exc.start]:02x})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
 
     values = np.concatenate(blocks) if blocks else np.empty(0)
     return values.reshape(-1, k), labels, dropped

@@ -10,12 +10,10 @@ a few thousand).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonConvergenceError
 
 __all__ = [
-    "PValueResult",
     "regularized_incomplete_beta",
     "t_two_sided_p",
     "f_upper_p",
@@ -23,16 +21,6 @@ __all__ = [
 
 _MAX_ITER = 300
 _CF_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class PValueResult:
-    """A test statistic with its two-sided tail probability."""
-
-    statistic: float
-    df1: int
-    df2: int | None
-    p_two_sided: float
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

@@ -4,7 +4,9 @@ Everything here works on plain float64 numpy arrays: matrices are 2-D,
 vectors are 1-D. Least-squares solves go through Householder QR (never the
 normal equations) with an explicit rank check on the diagonal of R.
 :func:`projector` returns an explicit n x n matrix and is kept for callers
-that want one; the fitting code never calls it.
+that want one; the fitting code never calls it. Nor does it call
+:func:`require_full_column_rank`: the regression design applies the same
+diagonal rule to the R factor it already has.
 """
 
 from __future__ import annotations

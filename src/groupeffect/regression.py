@@ -10,12 +10,15 @@ holds the covariate columns. The same fit is available two ways:
 
 Centering within groups is the annihilator M1 of X1, so the partialled-out
 fit needs only the group counts, the group means of [X2 | y] and R, the
-(w+1) x (w+1) triangular factor of the group-centered [X2 | y]. From R
-follow the covariate coefficients, gamma and both R^2 values; cost and
-memory are linear in n and no n x n matrix is formed. Stacking R on the
-between-group row sqrt(n1 n2 / n) (mean1 - mean2) and re-triangularizing
-gives the factor of the overall-centered [X2 | y], i.e. the reduced model
-without the group dummy (the pairwise update of Chan, Golub & LeVeque).
+(w+1) x (w+1) triangular factor of the group-centered [X2 | y]. Each design
+computes them once, from one copy of [X2 | y] centered in place, and keeps
+them. From R follow the rank check of the design, the covariate
+coefficients, sigma^2, gamma, both R^2 values and every standard error;
+cost and memory are linear in n and no n x n matrix is formed. Stacking R
+on the between-group row sqrt(n1 n2 / n) (mean1 - mean2) and
+re-triangularizing gives the factor of the overall-centered [X2 | y], i.e.
+the reduced model without the group dummy (the pairwise update of Chan,
+Golub & LeVeque).
 
 The two routes agree to floating-point accuracy; keeping both makes that
 equivalence testable instead of assumed.
@@ -24,6 +27,7 @@ equivalence testable instead of assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +87,14 @@ class PartitionedDesign:
     def df(self) -> int:
         return self.n - 2 - self.w
 
+    @cached_property
+    def _core(self):
+        """(mean1, diff, r) of :func:`_group_core`, computed on first use.
+
+        The design's arrays must not be modified after that.
+        """
+        return _group_core(self)
+
 
 @dataclass(frozen=True)
 class GroupSummary:
@@ -141,7 +153,10 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
 
     Raises GroupTooSmallError if either group has fewer than 2 rows,
     InsufficientRowsError if n <= 2 + w, and RankDeficientDesignError
-    (naming the column) if the combined design is collinear.
+    (naming the covariate) if the combined design is collinear. Centering
+    within groups annihilates the intercept and the dummy, so the design
+    has full rank exactly when the group-centered covariates have; the
+    check reads the diagonal of their R factor.
     """
     labels = sorted(set(ds.group_labels))
     if reference_level is not None:
@@ -150,45 +165,42 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
         labels = [reference_level] + [l for l in labels if l != reference_level]
     g1, g2 = labels
 
-    dummy_orig = np.array([0.0 if l == g1 else 1.0 for l in ds.group_labels])
-    order = np.argsort(dummy_orig, kind="stable")
-    dummy = dummy_orig[order]
-    n1 = int(np.sum(dummy == 0.0))
-    n2 = int(np.sum(dummy == 1.0))
+    n = ds.n_rows
+    in_group2 = np.fromiter(map(g2.__eq__, ds.group_labels), bool, n)
+    order = np.argsort(in_group2, kind="stable")
+    n2 = int(np.count_nonzero(in_group2))
+    n1 = n - n2
     if n1 < 2:
         raise GroupTooSmallError(g1, n1)
     if n2 < 2:
         raise GroupTooSmallError(g2, n2)
 
     w = ds.n_covariates
-    n = n1 + n2
     if n <= 2 + w:
         raise InsufficientRowsError(
             f"{n} rows cannot support an intercept, a group dummy and {w} covariate(s)"
         )
 
     y = linalg.as_vector(ds.response, "response")[order]
-    x1 = np.column_stack([np.ones(n), dummy])
+    x1 = np.ones((n, 2))
+    x1[:n1, 1] = 0.0
     if w:
         x2 = np.column_stack([linalg.as_vector(col, name)[order]
                               for name, col in ds.covariates])
     else:
         x2 = np.empty((n, 0))
 
-    names = ["(intercept)", f"group[{g2}]"] + [name for name, _ in ds.covariates]
-    try:
-        linalg.require_full_column_rank(np.hstack([x1, x2]))
-    except RankDeficientError as exc:
-        col = exc.column
-        if isinstance(col, int) and col < len(names):
-            col = names[col]
-        raise RankDeficientDesignError(col) from None
-
-    return PartitionedDesign(
+    design = PartitionedDesign(
         y=y, x1=x1, x2=x2, n1=n1, n2=n2, row_order=order,
         group_labels=(g1, g2),
         covariate_names=tuple(name for name, _ in ds.covariates),
     )
+    _, _, r = design._core
+    try:
+        linalg._check_r_diagonal(r[:w, :w], n)
+    except RankDeficientError as exc:
+        raise RankDeficientDesignError(design.covariate_names[exc.column]) from None
+    return design
 
 
 def delta1_from_adjusted(design: PartitionedDesign, y_star) -> np.ndarray:
@@ -210,22 +222,33 @@ def _group_stats(design: PartitionedDesign, v: np.ndarray):
 def _group_core(design: PartitionedDesign):
     """Group means of [X2 | y] and the R factor of the group-centered [X2 | y].
 
-    Returns (mean1, mean2, r) with r of shape (w+1, w+1): its leading w x w
-    block factors X2' M1 X2, its last column above the diagonal carries
-    X2' M1 y, and r[w, w]^2 is the residual sum of squares of the full model.
+    Returns (mean1, diff, r): the group-1 means, the group-2 minus group-1
+    mean differences, and r of shape (w+1, w+1). The leading w x w block of
+    r factors X2' M1 X2, its last column above the diagonal carries X2' M1 y,
+    and r[w, w]^2 is the residual sum of squares of the full model.
+
+    [X2 | y] is copied once and centered in place. The first row is
+    subtracted before the group means: that subtraction is exact for a
+    column far from zero, so the mean differences, and the rank check that
+    reads r, keep the digits a large common offset would otherwise round
+    away.
     """
     m = np.column_stack([design.x2, design.y])
+    pivot = m[0].copy()
+    m -= pivot
     g1, g2 = m[: design.n1], m[design.n1:]
     mean1, mean2 = g1.mean(axis=0), g2.mean(axis=0)
-    r = np.linalg.qr(np.vstack([g1 - mean1, g2 - mean2]), mode="r")
-    return mean1, mean2, r
+    g1 -= mean1
+    g2 -= mean2
+    r = np.linalg.qr(m, mode="r")
+    return mean1 + pivot, mean2 - mean1, r
 
 
 def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:
     """Fit by solving the full design (X1, X2) in a single pass."""
     x = np.hstack([design.x1, design.x2])
     coef = linalg.qr_least_squares(x, design.y)
-    return _finish_fit(design, coef[:2], coef[2:], _group_core(design))
+    return _finish_fit(design, coef[:2], coef[2:])
 
 
 def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
@@ -235,24 +258,23 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
     With no covariates this is simply the two group means.
     """
-    core = _group_core(design)
-    mean1, mean2, r = core
+    mean1, diff, r = design._core
     w = design.w
     delta2 = np.linalg.solve(r[:w, :w], r[:w, w]) if w else np.empty(0)
     beta0 = mean1[w] - mean1[:w] @ delta2
-    beta1 = (mean2[w] - mean1[w]) - (mean2[:w] - mean1[:w]) @ delta2
-    return _finish_fit(design, np.array([beta0, beta1]), delta2, core)
+    beta1 = diff[w] - diff[:w] @ delta2
+    return _finish_fit(design, np.array([beta0, beta1]), delta2)
 
 
-def _finish_fit(design, delta1, delta2, core) -> PartitionedFit:
-    mean1, mean2, r = core
+def _finish_fit(design, delta1, delta2) -> PartitionedFit:
+    _, diff, r = design._core
     w = design.w
     y_star = design.y - design.x2 @ delta2
-    sig2 = sigma2_hat(design, delta2)
+    sig2 = float(r[w, w]) ** 2 / _residual_df(design)
     # Var(beta1) / sigma^2 = 1/n1 + 1/n2 + (xbar1 - xbar2)' (X2' M1 X2)^-1 (xbar1 - xbar2)
-    v = np.linalg.solve(r[:w, :w].T, mean1[:w] - mean2[:w]) if w else np.empty(0)
+    v = np.linalg.solve(r[:w, :w].T, diff[:w]) if w else np.empty(0)
     gamma = 1.0 / design.n1 + 1.0 / design.n2 + float(v @ v)
-    r2, r02 = _r_squared_from_core(design, core)
+    r2, r02 = r_squared_pair(design)
     return PartitionedFit(
         delta1_hat=np.asarray(delta1, dtype=float),
         delta2_hat=np.asarray(delta2, dtype=float),
@@ -266,21 +288,27 @@ def _finish_fit(design, delta1, delta2, core) -> PartitionedFit:
     )
 
 
+def _residual_df(design: PartitionedDesign) -> int:
+    if design.df <= 0:
+        raise NonPositiveDfError(
+            f"no residual degrees of freedom (n={design.n}, w={design.w})"
+        )
+    return design.df
+
+
 def sigma2_hat(design: PartitionedDesign, delta2_hat) -> float:
     """Unbiased error-variance estimate given fitted covariate coefficients.
 
     Equals r' M1 r / (n - 2 - w) with r = y - X2 d2_hat, evaluated here as
     the pooled within-group centered sum of squares of r (the two forms are
-    algebraically identical).
+    algebraically identical). The fitters take sigma^2 from R instead; this
+    residual form cross-checks it.
     """
-    if design.df <= 0:
-        raise NonPositiveDfError(
-            f"no residual degrees of freedom (n={design.n}, w={design.w})"
-        )
+    df = _residual_df(design)
     delta2_hat = np.asarray(delta2_hat, dtype=float)
     r = design.y - design.x2 @ delta2_hat
     (_, ss1), (_, ss2) = _group_stats(design, r)
-    return (ss1 + ss2) / design.df
+    return (ss1 + ss2) / df
 
 
 def group_summaries(design: PartitionedDesign, y_star) -> tuple[GroupSummary, GroupSummary]:
@@ -300,15 +328,11 @@ def group_summaries(design: PartitionedDesign, y_star) -> tuple[GroupSummary, Gr
 def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:
     """Coefficients of determination of the full model and of the reduced
     model that drops the group dummy (intercept plus covariates only)."""
-    return _r_squared_from_core(design, _group_core(design))
-
-
-def _r_squared_from_core(design: PartitionedDesign, core) -> tuple[float, float]:
     if np.ptp(design.y) == 0.0:
         raise DegenerateResponseError("response is constant")
-    mean1, mean2, r = core
+    _, diff, r = design._core
     w = design.w
-    between = np.sqrt(design.n1 * design.n2 / design.n) * (mean1 - mean2)
+    between = np.sqrt(design.n1 * design.n2 / design.n) * diff
     r0 = np.linalg.qr(np.vstack([r, between]), mode="r")
     total_ss = float(r0[:, w] @ r0[:, w])
     if total_ss == 0.0:
@@ -319,9 +343,18 @@ def _r_squared_from_core(design: PartitionedDesign, core) -> tuple[float, float]
 
 
 def standard_errors(design: PartitionedDesign, fit: PartitionedFit) -> np.ndarray:
-    """Standard errors of all 2 + w coefficients, in fitting order."""
-    x = np.hstack([design.x1, design.x2])
-    r = np.linalg.qr(x, mode="r")
-    rinv = np.linalg.inv(r)
-    diag = np.sum(rinv**2, axis=1)  # diagonal of (X'X)^-1
-    return np.sqrt(fit.sigma2_hat * diag)
+    """Standard errors of all 2 + w coefficients, in fitting order.
+
+    Each is sigma times the square root of the coefficient's scaled
+    variance, in the standard ANCOVA form with S = X2' M1 X2 = R_xx' R_xx:
+    1/n1 + xbar1' S^-1 xbar1 for the intercept, gamma for the group term,
+    and the diagonal of S^-1, the squared row norms of R_xx^-1, for the
+    covariates.
+    """
+    mean1, _, r = design._core
+    w = design.w
+    rinv = np.linalg.inv(r[:w, :w])
+    a = mean1[:w] @ rinv  # R_xx^-T xbar1
+    scaled = np.concatenate([[1.0 / design.n1 + a @ a, fit.gamma],
+                             np.sum(rinv**2, axis=1)])
+    return np.sqrt(fit.sigma2_hat * scaled)

@@ -88,3 +88,14 @@ def trace(a) -> float:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"trace needs a square matrix, got {m.shape}")
     return float(np.trace(m))
+
+
+def standard_errors_qr(design, fit) -> np.ndarray:
+    """Standard errors of all 2 + w coefficients from the full n-row design:
+    sigma times the square roots of the diagonal of (X'X)^-1, read off the
+    inverse of its R factor."""
+    x = np.hstack([design.x1, design.x2])
+    r = np.linalg.qr(x, mode="r")
+    rinv = np.linalg.inv(r)
+    diag = np.sum(rinv**2, axis=1)  # diagonal of (X'X)^-1
+    return np.sqrt(fit.sigma2_hat * diag)

@@ -275,6 +275,32 @@ class TestInputHeaders:
         assert code == 0 and err == ""
 
 
+class TestUnreadableInput:
+    @staticmethod
+    def argv(command, path):
+        extra = ["--group", "g"] if command == "effect" else []
+        return [command, "--data", str(path), "--response", "y", *extra]
+
+    @pytest.mark.parametrize("command", ["effect", "hist"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"g;y\nA;1\nB;2\nA;4\nB;8\nA;\xff3\nB;5\n")
+        code, out, err = run(capsys, *self.argv(command, path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: DataError:") and "Traceback" not in err
+        assert str(path) in err and "0xff" in err
+
+    @pytest.mark.parametrize("command", ["effect", "hist"])
+    def test_field_over_csv_limit_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("g;y\nA;1\nB;2\nA;" + "4" * 200_000 + "\nB;8\nA;3\nB;5\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, *self.argv(command, path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: DataError:") and "Traceback" not in err
+        assert f"{path}, line 4:" in err and "field larger than field limit" in err
+
+
 class TestReportReuse:
     @pytest.mark.parametrize("command, fmt", [
         ("effect", "json"), ("effect", "text"), ("fit", "json")])

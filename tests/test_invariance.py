@@ -15,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupeffect import Dataset, build_design, effect_report, fit_fwl, fit_monolithic
+from groupeffect import (
+    Dataset,
+    build_design,
+    effect_report,
+    fit_fwl,
+    fit_monolithic,
+    standard_errors,
+)
 from groupeffect.cli import main
+from groupeffect.errors import RankDeficientDesignError, RankDeficientError
 
 from conftest import make_dataset
 
@@ -78,6 +86,60 @@ class TestShiftRegressions:
         assert report.d == pytest.approx(base.d, rel=1e-6)
         assert report.t == pytest.approx(base.t, rel=1e-6)
         assert report.gamma == pytest.approx(base.gamma, rel=1e-6)
+
+
+def two_group_dataset(covariates, n=2000):
+    """n rows, about 40% in group b; y depends on the first covariate."""
+    rng = np.random.default_rng(77)
+    z = rng.uniform(size=n) < 0.4
+    y = 2.0 + 0.5 * z + 0.7 * covariates[0][1] + rng.standard_normal(n)
+    return Dataset(response=y, group_labels=tuple("ab"[int(v)] for v in z),
+                   covariates=tuple(covariates))
+
+
+def on_1e13_grid(n=2000):
+    """Unit-spread values rounded to the spacing of floats near 1e13, so
+    that adding 1e13 to them is exact."""
+    return (np.random.default_rng(78).standard_normal(n) + 1e13) - 1e13
+
+
+class TestRankCheckOffsets:
+    def test_exact_1e13_offset_is_full_rank(self):
+        x, other = on_1e13_grid(), np.random.default_rng(79).standard_normal(2000)
+        base_ds = two_group_dataset([("x", x), ("other", other)])
+        shifted_ds = replace(base_ds, covariates=(("x", x + 1e13), ("other", other)))
+        results = []
+        for ds in (base_ds, shifted_ds):
+            design = build_design(ds)
+            fit = fit_fwl(design)
+            se = standard_errors(design, fit)
+            results.append((fit, effect_report(design, fit), se))
+        (base, base_report, base_se), (fit, report, se) = results
+        # everything read off R and the group mean differences is offset-free
+        assert fit.gamma == pytest.approx(base.gamma, rel=1e-9)
+        np.testing.assert_allclose(fit.delta2_hat, base.delta2_hat, rtol=1e-9)
+        np.testing.assert_allclose(se[1:], base_se[1:], rtol=1e-9)
+        assert fit.r_squared == pytest.approx(base.r_squared, abs=1e-9)
+        assert fit.r0_squared == pytest.approx(base.r0_squared, abs=1e-9)
+        # the adjusted response y - X2 d2 itself rounds at about eps * 1e13
+        # per row, against a unit noise scale
+        assert report.d == pytest.approx(base_report.d, abs=10 * np.finfo(float).eps * 1e13)
+
+    def test_fit_monolithic_rejects_1e13_offset_in_its_own_solve(self):
+        # its least-squares solve checks the rank of the uncentered design,
+        # where the offset column swamps the intercept
+        design = build_design(two_group_dataset([("x", on_1e13_grid() + 1e13)]))
+        with pytest.raises(RankDeficientError) as err:
+            fit_monolithic(design)
+        assert err.value.column == 0
+
+    def test_offset_multiple_of_a_covariate_is_caught(self):
+        # the group means of 3 x + 1e6 round at the scale of 1e6 unless the
+        # offset is taken out first; the residue would then pass the check
+        x = np.random.default_rng(80).integers(0, 20, size=2000).astype(float)
+        with pytest.raises(RankDeficientDesignError) as err:
+            build_design(two_group_dataset([("x", x), ("x3", 3.0 * x + 1e6)]))
+        assert err.value.column == "x3"
 
 
 def summarize(ds, fitter, reference_level=None):

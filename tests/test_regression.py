@@ -1,7 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupeffect import (
     Dataset,
@@ -24,12 +27,13 @@ from groupeffect.errors import (
 )
 from groupeffect.regression import coefficient_names, delta1_from_adjusted
 
-from conftest import cramer_least_squares, make_design
+from conftest import cramer_least_squares, make_dataset, make_design
 from oracles import (
     annihilator_covariates,
     annihilator_group,
     delta1_scaled_covariance,
     residual_quadratic_matrix,
+    standard_errors_qr,
 )
 
 
@@ -186,6 +190,40 @@ class TestFits:
         assert standard_errors(design, fit)[1] == pytest.approx(
             fit.se_beta1, rel=1e-9
         )
+
+
+class TestStandardErrors:
+    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120), w=st.integers(0, 5),
+           offsets=st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                            min_size=5, max_size=5))
+    def test_match_full_design_qr(self, fitter, seed, n, w, offsets):
+        ds = make_dataset(np.random.default_rng(seed), n=n, w=w)
+        design = build_design(replace(ds, covariates=tuple(
+            (name, col + offset) for (name, col), offset in zip(ds.covariates, offsets)
+        )))
+        fit = fitter(design)
+        np.testing.assert_allclose(standard_errors(design, fit),
+                                   standard_errors_qr(design, fit), rtol=1e-9)
+
+    def test_one_n_row_qr_from_design_to_coefficient_table(self, monkeypatch):
+        # the rank check, the fit, gamma, R^2 and the standard errors all
+        # come from one factorization of the n-row [X2 | y]
+        design_rows = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            design_rows.append(np.shape(a)[0])
+            return qr(a, *args, **kwargs)
+
+        ds = make_dataset(np.random.default_rng(119), n=200, w=3)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        design = build_design(ds)
+        fit = fit_fwl(design)
+        effect_report(design, fit)
+        standard_errors(design, fit)
+        assert design_rows.count(design.n) == 1, design_rows
 
 
 class TestSigma2:
