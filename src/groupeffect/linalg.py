@@ -48,18 +48,22 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _check_r_diagonal(r: np.ndarray, n_rows: int) -> None:
+def _check_r_diagonal(r: np.ndarray, n_rows: int, scale=None) -> None:
     """Raise RankDeficientError at the first negligible diagonal entry of R.
 
     A column counts as dependent when |R_ii| <= max(n, k) * eps * scale,
-    where scale is the largest absolute entry of R. The largest entry (not
-    the largest diagonal entry) is the right yardstick: a dependent column
-    of large norm leaves its scale in the off-diagonal part of R while its
-    diagonal collapses to rounding noise.
+    where scale is by default the largest absolute entry of R. The largest
+    entry (not the largest diagonal entry) is the right yardstick: a
+    dependent column of large norm leaves its scale in the off-diagonal
+    part of R while its diagonal collapses to rounding noise. A caller
+    whose R comes from transformed columns passes the scale of the columns
+    before the transform, per column or as one number, because the
+    transform's rounding is relative to that.
     """
     diag = np.abs(np.diag(r))
     k = diag.size
-    scale = np.abs(r).max() if r.size else 0.0
+    if scale is None:
+        scale = np.abs(r).max() if r.size else 0.0
     tol = max(n_rows, k) * np.finfo(float).eps * scale
     small = np.where(diag <= tol)[0]
     if small.size:

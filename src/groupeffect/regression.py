@@ -89,7 +89,7 @@ class PartitionedDesign:
 
     @cached_property
     def _core(self):
-        """(mean1, diff, r) of :func:`_group_core`, computed on first use.
+        """(mean1, diff, r, norms) of :func:`_group_core`, computed on first use.
 
         The design's arrays must not be modified after that.
         """
@@ -195,9 +195,9 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
         group_labels=(g1, g2),
         covariate_names=tuple(name for name, _ in ds.covariates),
     )
-    _, _, r = design._core
+    _, _, r, norms = design._core
     try:
-        linalg._check_r_diagonal(r[:w, :w], n)
+        linalg._check_r_diagonal(r[:w, :w], n, scale=norms[:w])
     except RankDeficientError as exc:
         raise RankDeficientDesignError(design.covariate_names[exc.column]) from None
     return design
@@ -222,26 +222,31 @@ def _group_stats(design: PartitionedDesign, v: np.ndarray):
 def _group_core(design: PartitionedDesign):
     """Group means of [X2 | y] and the R factor of the group-centered [X2 | y].
 
-    Returns (mean1, diff, r): the group-1 means, the group-2 minus group-1
-    mean differences, and r of shape (w+1, w+1). The leading w x w block of
-    r factors X2' M1 X2, its last column above the diagonal carries X2' M1 y,
-    and r[w, w]^2 is the residual sum of squares of the full model.
+    Returns (mean1, diff, r, norms): the group-1 means, the group-2 minus
+    group-1 mean differences, r of shape (w+1, w+1), and the column norms of
+    [X2 | y] less its first row. The leading w x w block of r factors
+    X2' M1 X2, its last column above the diagonal carries X2' M1 y, and
+    r[w, w]^2 is the residual sum of squares of the full model.
 
     [X2 | y] is copied once and centered in place. The first row is
     subtracted before the group means: that subtraction is exact for a
     column far from zero, so the mean differences, and the rank check that
     reads r, keep the digits a large common offset would otherwise round
-    away.
+    away. The group means still round at the scale of the shifted columns,
+    so the rank check measures r against ``norms``, not against r itself: a
+    covariate that is constant within each group leaves a residue of that
+    rounding, which r alone would take for a full-rank column.
     """
     m = np.column_stack([design.x2, design.y])
     pivot = m[0].copy()
     m -= pivot
+    norms = np.sqrt(np.einsum("ij,ij->j", m, m))
     g1, g2 = m[: design.n1], m[design.n1:]
     mean1, mean2 = g1.mean(axis=0), g2.mean(axis=0)
     g1 -= mean1
     g2 -= mean2
     r = np.linalg.qr(m, mode="r")
-    return mean1 + pivot, mean2 - mean1, r
+    return mean1 + pivot, mean2 - mean1, r, norms
 
 
 def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:
@@ -258,7 +263,7 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
     With no covariates this is simply the two group means.
     """
-    mean1, diff, r = design._core
+    mean1, diff, r, _ = design._core
     w = design.w
     delta2 = np.linalg.solve(r[:w, :w], r[:w, w]) if w else np.empty(0)
     beta0 = mean1[w] - mean1[:w] @ delta2
@@ -267,7 +272,7 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
 
 def _finish_fit(design, delta1, delta2) -> PartitionedFit:
-    _, diff, r = design._core
+    _, diff, r, _ = design._core
     w = design.w
     y_star = design.y - design.x2 @ delta2
     sig2 = float(r[w, w]) ** 2 / _residual_df(design)
@@ -330,7 +335,7 @@ def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:
     model that drops the group dummy (intercept plus covariates only)."""
     if np.ptp(design.y) == 0.0:
         raise DegenerateResponseError("response is constant")
-    _, diff, r = design._core
+    _, diff, r, _ = design._core
     w = design.w
     between = np.sqrt(design.n1 * design.n2 / design.n) * diff
     r0 = np.linalg.qr(np.vstack([r, between]), mode="r")
@@ -351,7 +356,7 @@ def standard_errors(design: PartitionedDesign, fit: PartitionedFit) -> np.ndarra
     and the diagonal of S^-1, the squared row norms of R_xx^-1, for the
     covariates.
     """
-    mean1, _, r = design._core
+    mean1, _, r, _ = design._core
     w = design.w
     rinv = np.linalg.inv(r[:w, :w])
     a = mean1[:w] @ rinv  # R_xx^-T xbar1

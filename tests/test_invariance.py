@@ -141,6 +141,20 @@ class TestRankCheckOffsets:
             build_design(two_group_dataset([("x", x), ("x3", 3.0 * x + 1e6)]))
         assert err.value.column == "x3"
 
+    @pytest.mark.parametrize("n1", [2, 5, 37])
+    def test_group_constant_covariate_is_caught(self, n1):
+        # centering 0.3 - 0.1 by its rounded group mean can leave a residue
+        # of about one ulp, far below the column's own scale
+        rng = np.random.default_rng(81)
+        for n2 in range(2, 200):
+            x = np.array([0.1] * n1 + [0.3] * n2)
+            ds = Dataset(response=rng.standard_normal(n1 + n2),
+                         group_labels=("a",) * n1 + ("b",) * n2,
+                         covariates=(("x", x),))
+            with pytest.raises(RankDeficientDesignError) as err:
+                build_design(ds)
+            assert err.value.column == "x"
+
 
 def summarize(ds, fitter, reference_level=None):
     design = build_design(ds, reference_level=reference_level)

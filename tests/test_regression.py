@@ -121,6 +121,8 @@ class TestFits:
             cb = np.concatenate([b.delta1_hat, b.delta2_hat])
             np.testing.assert_allclose(ca, cb, rtol=1e-9, atol=1e-12)
             assert a.sigma2_hat == pytest.approx(b.sigma2_hat, rel=1e-9)
+            # both fitters read sigma^2 off R; tie it to the monolithic residual
+            assert a.sigma2_hat == pytest.approx(sigma2_hat(design, b.delta2_hat), rel=1e-9)
 
     def test_back_substitution_recovers_group_block(self):
         rng = np.random.default_rng(102)
