@@ -24,8 +24,9 @@ from .dataio import histogram, load_column, load_csv
 from .distributions import f_upper_p, t_two_sided_p
 from .effects import d_from_beta, effect_report, f_squared_from_r2
 from .errors import DataError, NumericError
-# group_summaries is no longer called here (the reports reuse
-# EffectReport.groups); it stays importable as cli.group_summaries, the name
+# fit_monolithic and group_summaries are no longer called here (both
+# subcommands fit by FWL, and the reports reuse EffectReport.groups); they stay
+# importable as cli.fit_monolithic and cli.group_summaries, the names
 # bench/spans.py traces.
 from .regression import (
     build_design,
@@ -154,7 +155,7 @@ def _data_summary(ds, design) -> dict:
     }
 
 
-def _analyze(config: AnalysisConfig, fitter):
+def _analyze(config: AnalysisConfig):
     ds = load_csv(
         config.input_path,
         response_col=config.response_col,
@@ -163,8 +164,7 @@ def _analyze(config: AnalysisConfig, fitter):
         delimiter=config.delimiter,
     )
     design = build_design(ds, reference_level=config.reference_level)
-    fit = fitter(design)
-    return ds, design, fit
+    return ds, design, fit_fwl(design)
 
 
 def _report_json(config, ds, design, fit, report) -> dict:
@@ -285,7 +285,7 @@ def _fit_text(config, ds, design, fit) -> str:
 
 
 def cmd_effect(config: AnalysisConfig) -> int:
-    ds, design, fit = _analyze(config, fit_fwl)
+    ds, design, fit = _analyze(config)
     report = effect_report(design, fit)
     if config.output_format == "json":
         print(json.dumps(_report_json(config, ds, design, fit, report), indent=2))
@@ -295,7 +295,7 @@ def cmd_effect(config: AnalysisConfig) -> int:
 
 
 def cmd_fit(config: AnalysisConfig) -> int:
-    ds, design, fit = _analyze(config, fit_monolithic)
+    ds, design, fit = _analyze(config)
     if config.output_format == "json":
         report = effect_report(design, fit)
         print(json.dumps(_report_json(config, ds, design, fit, report), indent=2))

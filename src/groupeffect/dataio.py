@@ -10,10 +10,12 @@ and counted.
 Both loaders share one reader. It takes the rows in blocks of 64 and drops
 rows too short to reach a selected column or with an empty group label. It
 then checks the block's selected cells at once on their "|"-joined text and
-converts them with one np.fromiter; a block that fails the check is halved
-until single rows, which go through the per-cell regex. The result is the
-same as parsing cell by cell. A leading UTF-8 BOM is skipped, and a selected
-column name that occurs more than once in the header is an error.
+converts them with one np.fromiter. Where the check fails, one scan of that
+text finds each row it rejects: the rows before it are converted at once,
+that row alone goes through the per-cell regex, and the scan goes on from
+the next row. The result is the same as parsing cell by cell. A leading
+UTF-8 BOM is skipped, and a selected column name that occurs more than once
+in the header is an error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -91,6 +93,14 @@ def _parse_number(cell: str) -> float | None:
     return float(cell)
 
 
+def _float_or_nan(cell: str) -> float:
+    # no cell over the _BLOCK_RE alphabet reads as nan, so nan marks a reject
+    try:
+        return float(cell)
+    except ValueError:
+        return float("nan")
+
+
 def _read(path, numeric_cols, group_col, delimiter):
     """Shared reader behind load_csv and load_column.
 
@@ -99,6 +109,16 @@ def _read(path, numeric_cols, group_col, delimiter):
     ``group_col`` cells (empty when ``group_col`` is None). Bytes that are
     not UTF-8 and rows the csv module rejects (such as a field over
     ``csv.field_size_limit()``) raise DataError.
+
+    Rows are read in blocks of ``_BLOCK_ROWS``. Each block's cells are joined
+    once and scanned from left to right for the first cell outside the
+    ``_BLOCK_RE`` alphabet or empty; the rows before it are converted with one
+    np.fromiter, its row alone goes through ``_parse_number``, and the scan
+    resumes at the next row. A run that passes the scan but holds a cell
+    float() rejects (" ", "+-1") is converted cell by cell once, dropping the
+    rows with such a cell. So each cell is scanned once and converted at
+    most twice, and a row the scan stops at costs one ``_parse_number`` call
+    per cell.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -126,18 +146,6 @@ def _read(path, numeric_cols, group_col, delimiter):
                 picked = map(pick, rows)  # IndexError: a row too short
                 return list(picked if k == 1 else chain.from_iterable(picked))
 
-            def convert(cells):
-                # all of the cells at once, or None if any needs a closer look
-                text = "|".join(cells)
-                if not (text.isascii() and _BLOCK_RE.fullmatch(text)
-                        and text.count("|") == len(cells) - 1 and "||" not in text
-                        and text[0] != "|" and text[-1] != "|"):
-                    return None
-                try:
-                    return np.fromiter(map(float, cells), float, len(cells))
-                except ValueError:  # e.g. "+-1", "1.2.3", " "
-                    return None
-
             def complete(row):
                 return len(row) >= width and (label is None or label(row) != "")
 
@@ -146,6 +154,12 @@ def _read(path, numeric_cols, group_col, delimiter):
                 return None if None in vals else np.array(vals)
 
             blocks, labels, dropped = [], [], 0
+
+            def take(vals, rows):
+                blocks.append(vals)
+                if label is not None:
+                    labels.extend(map(label, rows))
+
             for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
                 try:
                     cells = cells_of(rows)
@@ -156,22 +170,40 @@ def _read(path, numeric_cols, group_col, delimiter):
                     kept = list(filter(complete, rows))
                     dropped += len(rows) - len(kept)
                     rows, cells = kept, cells_of(kept)
-                # cells that fail are found by halving the block down to single
-                # rows, which take the exact per-cell path; the stack keeps order
-                stack = [(rows, cells)] if rows else []
-                while stack:
-                    rows, cells = stack.pop()
-                    vals = convert(cells) if len(rows) > 1 else exact(cells)
-                    if vals is not None:
-                        blocks.append(vals)
-                        if label is not None:
-                            labels.extend(map(label, rows))
-                    elif len(rows) > 1:
-                        half = len(rows) // 2
-                        stack += [(rows[half:], cells[half * k:]),
-                                  (rows[:half], cells[:half * k])]
-                    else:
-                        dropped += 1
+                if not rows:
+                    continue
+                # "|" before each cell and after the last, so an empty cell is
+                # a "||"; a cell holding "|" is masked to keep the count exact
+                text = "|".join(cells)
+                if text.count("|") != len(cells) - 1:
+                    text = "|".join([c.replace("|", "\0") for c in cells])
+                text = f"|{text}|"
+                r = off = 0  # text[off] is the "|" before the first cell of row r
+                while r < len(rows):
+                    # the first empty cell, else the first character outside
+                    # the alphabet; s is its row, or len(rows) if there is none
+                    end = _BLOCK_RE.match(text, off).end()
+                    stop = text.find("||", off, end) + 1 or end
+                    s = (len(rows) if stop == len(text)
+                         else r + (text.count("|", off, stop) - 1) // k)
+                    if s > r:
+                        run = cells[r * k:s * k]
+                        try:
+                            take(np.fromiter(map(float, run), float, len(run)), rows[r:s])
+                        except ValueError:  # " ", "+-1", "1.2.3": float() alone rejects
+                            vals = np.fromiter(map(_float_or_nan, run), float,
+                                               len(run)).reshape(-1, k)
+                            ok = ~np.isnan(vals).any(axis=1)
+                            dropped += len(ok) - int(ok.sum())
+                            take(vals[ok].reshape(-1), compress(rows[r:s], ok))
+                    if s < len(rows):
+                        vals = exact(cells[s * k:(s + 1) * k])
+                        if vals is None:
+                            dropped += 1
+                        else:
+                            take(vals, rows[s:s + 1])
+                        off += sum(map(len, cells[r * k:(s + 1) * k])) + (s + 1 - r) * k
+                    r = s + 1
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
                         f"(byte 0x{exc.object[exc.start]:02x})") from None

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from groupeffect.cli import main
@@ -184,6 +185,33 @@ class TestFitCommand:
         assert fit_doc["coefficients"]["r_squared"] == pytest.approx(
             eff_doc["coefficients"]["r_squared"], rel=1e-12
         )
+
+
+    def test_exact_1e13_covariate_offset(self, capsys, tmp_path):
+        # fit runs the same centered fit as effect, so an offset that the
+        # first-row subtraction removes exactly changes nothing
+        rng = np.random.default_rng(81)
+        n = 2000
+        group = rng.uniform(size=n) < 0.5
+        # on the float grid near 1e13 (spacing 2**-9), so x + 1e13 is exact
+        x = np.round(rng.standard_normal(n) * 2**9) / 2**9
+        y = 1.0 + 0.4 * group + 0.6 * x + rng.standard_normal(n)
+        tables = []
+        for offset in (0.0, 1e13):
+            path = tmp_path / f"offset{offset:g}.csv"
+            path.write_text("g;y;x\n" + "".join(
+                f"{'ab'[int(gi)]};{yi!r};{xi + offset:.9f}\n"
+                for gi, yi, xi in zip(group, y.tolist(), x.tolist())))
+            code, out, err = run(capsys, "fit", "--data", str(path), "--response",
+                                 "y", "--group", "g", "--covariates", "x",
+                                 "--format", "json")
+            assert (code, err) == (0, "")
+            tables.append(json.loads(out)["coefficients"]["table"])
+        base, shifted = tables
+        assert shifted[1]["name"] == base[1]["name"] == "group[b]"
+        for key in ("estimate", "std_error", "t_value"):
+            assert shifted[1][key] == pytest.approx(base[1][key], rel=1e-9)
+
 
 
 class TestHistCommand:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupeffect import Dataset, histogram, load_column, load_csv
+from groupeffect import Dataset, dataio, histogram, load_column, load_csv
 from groupeffect.dataio import _parse_number, _read
 from groupeffect.errors import (
     DuplicateColumnError,
@@ -244,6 +244,62 @@ class TestBlockReader:
         values, dropped = load_column(path, "y")
         np.testing.assert_array_equal(values, want)
         assert ds.dropped_rows == dropped == 0
+
+    @pytest.mark.parametrize("bad", ["1e5", ""])
+    @pytest.mark.parametrize("k, same_row", [(1, False), (3, False), (3, True)])
+    @pytest.mark.parametrize("at", [63, 64, 65])
+    def test_pipe_cell_before_a_bad_cell(self, tmp_path, bad, k, same_row, at):
+        # a cell holding the "|" that joins cells must not shift the index
+        # the scan derives from counting them; one "|" too many moves a bad
+        # last cell into the next row
+        rows = [["A" if i % 2 else "B", *(f"{i}.{j}" for j in range(k))]
+                for i in range(200)]
+        rows[at][1] = "1|2"
+        rows[at if same_row else at + 1][k] = bad
+        path = write_rows(tmp_path / "p.csv", ["g", *(f"x{j}" for j in range(k))], rows)
+        numeric = [f"x{j}" for j in range(k)]
+        for group in ("g", None):
+            values, labels, dropped = _read(path, numeric, group, ";")
+            want_values, want_labels, want_dropped = reference_read(path, numeric, group)
+            np.testing.assert_array_equal(values, want_values)
+            assert labels == want_labels
+            assert dropped == want_dropped == (1 if same_row else 2)
+
+    def test_one_exact_parse_per_cell_of_a_bad_row(self, tmp_path, monkeypatch):
+        bad_at = [3, 63, 64, 65, 127, 128, 300, 301, 302]
+        rows = [["A" if i % 2 else "B", str(i), f"{i}.5"] for i in range(400)]
+        for n, i in enumerate(bad_at):
+            rows[i][1 + n % 2] = ["NA", "", "1e5"][n % 3]
+        path = write_rows(tmp_path / "n.csv", ["g", "y", "x"], rows)
+        calls = []
+        monkeypatch.setattr(dataio, "_parse_number",
+                            lambda cell: calls.append(cell) or _parse_number(cell))
+        values, labels, dropped = _read(path, ["y", "x"], "g", ";")
+        assert dropped == len(bad_at) and len(values) == 400 - len(bad_at)
+        assert sorted(calls) == sorted(c for i in bad_at for c in rows[i][1:])
+
+    def test_float_rejected_cells_are_converted_at_most_twice(self, tmp_path,
+                                                              monkeypatch):
+        # " " passes the block check and float() alone rejects it; a scan that
+        # restarted the rest of a run after each such row would convert the
+        # block about 32 times over
+        n = 1000
+        rows = [["A" if i % 2 else "B", str(i), " " if i % 3 else f" {i} "]
+                for i in range(n)]
+        for i in range(0, n, 3):
+            rows[i][1] = " "
+        path = write_rows(tmp_path / "s.csv", ["g", "y", "x"], rows)
+        counts = []
+        fromiter = np.fromiter
+
+        def counting_fromiter(iterable, dtype, count=-1):
+            counts.append(count)
+            return fromiter(iterable, dtype, count)
+
+        monkeypatch.setattr(np, "fromiter", counting_fromiter)
+        values, labels, dropped = _read(path, ["y", "x"], "g", ";")
+        assert (len(values), dropped) == (0, n)
+        assert 0 < sum(counts) <= 2 * 2 * n
 
     def test_empty_labels_at_block_boundaries(self, tmp_path):
         rows = [["A" if i % 2 else "B", str(i)] for i in range(200)]
