@@ -6,14 +6,18 @@ regression) and ``hist`` (text histogram of the response column). Output is
 plain text or a JSON document with fixed top-level keys
 {config, data_summary, coefficients, effect, distributions}.
 
-Exit codes: 0 success, 2 input/data errors, 3 numeric/model errors.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 input/data errors,
+3 numeric/model errors. ``main`` may be called repeatedly in one process;
+it builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +42,7 @@ from .regression import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1  # Python's own exit code for a closed stdout
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 # Default hist edges are unit bins over [floor(min), floor(max) + 1]; past
@@ -109,8 +114,31 @@ def build_parser() -> argparse.ArgumentParser:
     hist = sub.add_parser("hist", parents=[io_parent],
                           help="histogram of the response column")
     hist.add_argument("--edges", type=_edges_arg, default=None,
-                      help="comma-separated bin edges (default: unit-width bins)")
+                      help="comma-separated bin edges, e.g. -1,5,10,21 "
+                           "(default: unit-width bins)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built on its first call, then reused.
+
+    parse_args leaves a parser as it found it, so one parser serves every
+    call; building it took most of main's own time on small inputs.
+    """
+    return build_parser()
+
+
+def _join_negative_edges(argv) -> list[str]:
+    """Rewrite ``--edges -1,5`` as ``--edges=-1,5``: argparse takes a value
+    that starts with "-" and is not one number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--edges" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--edges={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -340,8 +368,8 @@ def cmd_hist(config: AnalysisConfig, edges=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_negative_edges(argv))
     config = _config_from_args(args)
     try:
         if args.command == "effect":
@@ -349,6 +377,8 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return cmd_fit(config)
         return cmd_hist(config, edges=args.edges)
+    except BrokenPipeError:  # stdout's reader has gone (`... | head -1`)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -4,8 +4,9 @@ Files are parsed with RFC-4180 quoting rules and a configurable delimiter
 (default ';', which is what semicolon-delimited survey exports such as the
 UCI student files use). The caller declares which columns are the response,
 the binary group factor and the numeric covariates; nothing is inferred.
-Rows with a missing or non-numeric cell in any selected column are dropped
-and counted.
+Numeric cells are decimal literals with an optional exponent ("2.5E-3").
+Rows with a missing, non-numeric or overflowing ("1e999") cell in any
+selected column are dropped and counted.
 
 Both loaders share one reader. It takes the rows in blocks of 64 and drops
 rows too short to reach a selected column or with an empty group label. It
@@ -13,14 +14,16 @@ then checks the block's selected cells at once on their "|"-joined text and
 converts them with one np.fromiter. Where the check fails, one scan of that
 text finds each row it rejects: the rows before it are converted at once,
 that row alone goes through the per-cell regex, and the scan goes on from
-the next row. The result is the same as parsing cell by cell. A leading
-UTF-8 BOM is skipped, and a selected column name that occurs more than once
-in the header is an error.
+the next row. One check of the loaded values drops the rows holding a
+cell that overflowed to inf. The result is the same as parsing cell by
+cell. A leading UTF-8 BOM is skipped, and a selected column name that
+occurs more than once in the header is an error.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from itertools import chain, compress, islice
@@ -39,12 +42,13 @@ from .errors import (
 
 __all__ = ["Dataset", "load_csv", "load_column", "histogram"]
 
-# plain integer and decimal literals only; anything else drops the row
-_NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
+# integer and decimal literals with an optional decimal exponent; anything
+# else (and a value that overflows to inf) drops the row
+_NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # Over this alphabet float() accepts a cell exactly when _NUMERIC_RE accepts
-# its strip(): no exponent, inf/nan or "_", and none of the \x1c-\x1f
-# separators that str.strip() removes but float() rejects. "|" joins cells.
-_BLOCK_RE = re.compile(r"[0-9+\-. \t\n\r\x0b\x0c|]+")
+# its strip(): no inf/nan or "_", and none of the \x1c-\x1f separators that
+# str.strip() removes but float() rejects. "|" joins cells.
+_BLOCK_RE = re.compile(r"[0-9eE+\-. \t\n\r\x0b\x0c|]+")
 _BLOCK_ROWS = 64
 
 
@@ -90,7 +94,8 @@ def _parse_number(cell: str) -> float | None:
     cell = cell.strip()
     if not _NUMERIC_RE.match(cell):
         return None
-    return float(cell)
+    value = float(cell)
+    return value if math.isfinite(value) else None  # "1e999"
 
 
 def _float_or_nan(cell: str) -> float:
@@ -118,7 +123,8 @@ def _read(path, numeric_cols, group_col, delimiter):
     float() rejects (" ", "+-1") is converted cell by cell once, dropping the
     rows with such a cell. So each cell is scanned once and converted at
     most twice, and a row the scan stops at costs one ``_parse_number`` call
-    per cell.
+    per cell. A cell that overflows ("1e999") passes the scan and reads as
+    inf; one np.isfinite over the loaded values drops its row.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -210,8 +216,14 @@ def _read(path, numeric_cols, group_col, delimiter):
     except csv.Error as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
 
-    values = np.concatenate(blocks) if blocks else np.empty(0)
-    return values.reshape(-1, k), labels, dropped
+    values = np.concatenate(blocks).reshape(-1, k) if blocks else np.empty((0, k))
+    blocks.clear()  # so the finiteness check's temporary does not raise the peak
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=1)
+        dropped += len(finite) - int(finite.sum())
+        values = values[finite]
+        labels = list(compress(labels, finite))
+    return values, labels, dropped
 
 
 def load_csv(

@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["student", "wide"])
+@pytest.mark.parametrize("workload", ["student", "sim", "wide", "tall_hist"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",

@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from groupeffect import cli
 from groupeffect.cli import main
 
 from conftest import student_csv_path
@@ -24,6 +27,35 @@ def student_args(*covariates):
     if covariates:
         args += ["--covariates", ",".join(covariates)]
     return args
+
+
+def fresh(capsys, argv):
+    """``run`` with a parser built for this call alone."""
+    cli._parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def exits(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
+
+
+def _student_argvs():
+    """The seven invocations of the benchmark's student mix."""
+    base = student_args()
+    cov = student_args("Fedu", "traveltime")
+    hist = ["hist", "--data", str(student_csv_path()), "--response", "G3"]
+    return [
+        ["effect", *base],
+        ["effect", *cov],
+        ["effect", *cov, "--format", "json"],
+        ["fit", *cov],
+        ["fit", *cov, "--format", "json"],
+        hist,
+        [*hist, "--edges=0,5,10,15,20"],
+    ]
 
 
 class TestEffectCommand:
@@ -260,6 +292,17 @@ class TestHistCommand:
                            "--edges", "0,1000000")
         assert code == 0 and out.strip() == "0,1000000,2"
 
+    def test_negative_first_edge_in_spaced_form(self, capsys):
+        base = ["hist", "--data", str(student_csv_path()), "--response", "G3"]
+        want = run(capsys, *base, "--edges=-1,5,10,21")
+        assert want[0] == 0 and len(want[1].splitlines()) == 3
+        assert run(capsys, *base, "--edges", "-1,5,10,21") == want
+        code, out, _ = run(capsys, *base, "--edges", "-.5,10,21", "--format", "json")
+        assert code == 0 and json.loads(out)["histogram"]["edges"] == [-0.5, 10, 21]
+        code, _, err = exits(capsys, [*base, "--edges", "--format", "json"])
+        assert code == 2 and "--edges: expected one argument" in err
+        assert "-1,5,10,21" in exits(capsys, ["hist", "--help"])[1]
+
     def test_default_bins_at_the_cap(self, capsys, tmp_path):
         path = tmp_path / "span.csv"
         path.write_text("y\n0\n9999.5\n", encoding="utf-8")
@@ -345,3 +388,102 @@ class TestReportReuse:
         monkeypatch.setattr(cli, "group_summaries", counted)
         code, _, _ = run(capsys, command, *student_args("Fedu"), "--format", fmt)
         assert code == 0 and len(calls) == 1
+
+
+class TestNumericCells:
+    def test_exponent_cell_is_read(self, capsys, tmp_path):
+        path = tmp_path / "exp.csv"
+        path.write_text("g;y\nA;1e0\nB;2\nA;3\nB;4.5E-1\nA;5\nB;6e+0\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "effect", "--data", str(path), "--response", "y",
+                             "--group", "g", "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["data_summary"]["dropped_rows"] == 0
+        assert doc["effect"]["group_summaries"]["A"]["mean_raw"] == 3.0
+        assert doc["effect"]["group_summaries"]["B"]["mean_raw"] == pytest.approx(
+            (2 + 0.45 + 6) / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("command", ["effect", "hist"])
+    def test_overflowing_cell_drops_its_row(self, capsys, tmp_path, command):
+        path = tmp_path / "big.csv"
+        path.write_text("g;y\nA;1\nB;2\nA;1e999\nB;8\nA;3\nB;5\n", encoding="utf-8")
+        argv = [command, "--data", str(path), "--response", "y", "--format", "json"]
+        if command == "effect":
+            argv += ["--group", "g"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        summary = json.loads(out)["data_summary"]
+        assert summary["rows_used"] == 5 and summary["dropped_rows"] == 1
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone, as under `groupeffect ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("which", [2, 3, 5])  # effect json, fit text, hist text
+    def test_exits_1_without_an_error_line(self, capsys, monkeypatch, which):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(_student_argvs()[which]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_missing_input_still_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["hist", "--data", "no_such_file.csv", "--response", "G3"]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_a_fresh_parser(self, capsys):
+        argvs = _student_argvs()
+        want = [fresh(capsys, argv) for argv in argvs]
+        assert all(code == 0 and out and err == "" for code, out, err in want)
+        for order in ([0, 1, 2, 3, 4, 5, 6], [5, 2, 6, 0, 4, 1, 3]):
+            for i in order:
+                assert run(capsys, *argvs[i]) == want[i]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["hist", "--help"], 0),
+        (["effect", *student_args(), "--precision", "99"], 2),
+        (["nosuch"], 2)], ids=["help", "hist-help", "bad-precision", "unknown-command"])
+    def test_exits_leave_later_calls_unaffected(self, capsys, argv, code):
+        later = _student_argvs()[2]
+        want = fresh(capsys, later)
+        cli._parser.cache_clear()
+        first = exits(capsys, argv)
+        assert first[0] == code and (first[1] if code == 0 else first[2])
+        assert exits(capsys, argv) == first
+        assert run(capsys, *later) == want
+        assert exits(capsys, argv) == first
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built, constructed = [], []
+        build, init = cli.build_parser, argparse.ArgumentParser.__init__
+
+        def counted_build():
+            built.append(1)
+            return build()
+
+        def counted_init(self, *args, **kwargs):
+            constructed.append(1)
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        argvs = _student_argvs()
+        assert run(capsys, *argvs[0])[0] == 0
+        after_first = len(constructed)
+        for argv in argvs[1:] + argvs:
+            assert run(capsys, *argv)[0] == 0
+        exits(capsys, ["--help"])
+        assert len(built) == 1
+        assert len(constructed) == after_first > 0

@@ -79,12 +79,37 @@ class TestLoadCsv:
         assert ds.dropped_rows == 3
 
     def test_numeric_forms(self, tmp_path):
-        # plain integers and decimals parse; scientific notation and inf/nan
-        # are treated as unparseable and drop the row
-        text = "g;y\nA;3\nB;-2.5\nA;.75\nB;+4.\nA;1e5\nB;nan\nA;inf\nB;5\n"
+        # integers, decimals and decimal exponents parse; inf/nan and a value
+        # that overflows are treated as unparseable and drop the row
+        text = "g;y\nA;3\nB;-2.5\nA;.75\nB;+4.\nA;1e5\nB;nan\nA;inf\nB;5\nA;1e999\n"
         ds = load_csv(write(tmp_path, text), response_col="y", group_col="g")
-        np.testing.assert_allclose(ds.response, [3.0, -2.5, 0.75, 4.0, 5.0])
+        np.testing.assert_allclose(ds.response, [3.0, -2.5, 0.75, 4.0, 1e5, 5.0])
         assert ds.dropped_rows == 3
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1e0", 1.0), ("2.5E-3", 2.5e-3), ("1e+5", 1e5), ("-.5e1", -5.0), (" 3.E2 ", 300.0)])
+    def test_exponent_cells(self, tmp_path, cell, value, monkeypatch):
+        # they pass the block check, so no cell takes the per-cell path
+        monkeypatch.setattr(dataio, "_parse_number", None)
+        text = f"g;y\nA;{cell}\nB;2\nA;3\nB;4\nA;5\nB;6\n"
+        ds = load_csv(write(tmp_path, text), response_col="y", group_col="g")
+        assert ds.dropped_rows == 0
+        np.testing.assert_array_equal(ds.response, [value, 2, 3, 4, 5, 6])
+
+    @pytest.mark.parametrize("cell", ["1e999", "-1e999", "1E400"])
+    @pytest.mark.parametrize("at", [0, 63, 64, 199])
+    def test_overflowing_cells_drop_the_row(self, tmp_path, cell, at):
+        # the cell passes the block check and reads as inf; beside "\x1f7",
+        # which only the exact path accepts, its row takes that path instead
+        for other in ("7", "\x1f7"):
+            rows = [["A" if i % 2 else "B", str(i), "1"] for i in range(200)]
+            rows[at][1:] = [cell, other]
+            path = write_rows(tmp_path / "o.csv", ["g", "y", "x"], rows)
+            ds = load_csv(path, response_col="y", group_col="g", covariate_cols=["x"])
+            np.testing.assert_array_equal(ds.response, [i for i in range(200) if i != at])
+            assert ds.dropped_rows == 1 and len(ds.group_labels) == 199
+            values, dropped = load_column(path, "y")
+            assert dropped == 1 and np.isfinite(values).all() and len(values) == 199
 
     def test_all_rows_filtered(self, tmp_path):
         text = "g;y\nA;x\nB;y\nA;z\nB;w\n"
@@ -167,7 +192,7 @@ def write_rows(path, header, rows, quote_all=False):
 
 
 ADVERSARIAL = ["", " ", ".", "+-1", "1.2.3", "1e5", "nan", "1_0", "\u0661\u0662",
-               "\x1f7", "\x0b8\x0c", "1|2", "+.5"]
+               "\x1f7", "\x0b8\x0c", "1|2", "+.5", "1E+2", "1e999", "e5", "1e"]
 
 
 @st.composite
@@ -212,7 +237,7 @@ class TestBlockReader:
         assert dropped == want_dropped
         assert len(values) + dropped == len(rows)
 
-    @pytest.mark.parametrize("bad", ["", "NA", " ", "1e5", "1|2", "+-1"])
+    @pytest.mark.parametrize("bad", ["", "NA", " ", "1e999", "1|2", "+-1"])
     @pytest.mark.parametrize("column", ["y", "x"])
     def test_bad_rows_at_block_boundaries(self, tmp_path, bad, column):
         bad_at = {63, 64, 65, 128}
@@ -245,13 +270,13 @@ class TestBlockReader:
         np.testing.assert_array_equal(values, want)
         assert ds.dropped_rows == dropped == 0
 
-    @pytest.mark.parametrize("bad", ["1e5", ""])
+    @pytest.mark.parametrize("bad", ["1e5", "", "1_0"])
     @pytest.mark.parametrize("k, same_row", [(1, False), (3, False), (3, True)])
     @pytest.mark.parametrize("at", [63, 64, 65])
     def test_pipe_cell_before_a_bad_cell(self, tmp_path, bad, k, same_row, at):
         # a cell holding the "|" that joins cells must not shift the index
         # the scan derives from counting them; one "|" too many moves a bad
-        # last cell into the next row
+        # last cell into the next row. "1e5" parses, so its row is kept.
         rows = [["A" if i % 2 else "B", *(f"{i}.{j}" for j in range(k))]
                 for i in range(200)]
         rows[at][1] = "1|2"
@@ -263,13 +288,14 @@ class TestBlockReader:
             want_values, want_labels, want_dropped = reference_read(path, numeric, group)
             np.testing.assert_array_equal(values, want_values)
             assert labels == want_labels
-            assert dropped == want_dropped == (1 if same_row else 2)
+            assert dropped == want_dropped == (
+                1 if same_row or _parse_number(bad) is not None else 2)
 
     def test_one_exact_parse_per_cell_of_a_bad_row(self, tmp_path, monkeypatch):
         bad_at = [3, 63, 64, 65, 127, 128, 300, 301, 302]
         rows = [["A" if i % 2 else "B", str(i), f"{i}.5"] for i in range(400)]
         for n, i in enumerate(bad_at):
-            rows[i][1 + n % 2] = ["NA", "", "1e5"][n % 3]
+            rows[i][1 + n % 2] = ["NA", "", "1_0"][n % 3]
         path = write_rows(tmp_path / "n.csv", ["g", "y", "x"], rows)
         calls = []
         monkeypatch.setattr(dataio, "_parse_number",
