@@ -1,8 +1,11 @@
 """Covariate-adjusted standardized effect sizes for two-group comparisons.
 
 Workflow: load a delimited file into a :class:`Dataset`, build the
-group-sorted :class:`PartitionedDesign`, fit it (two equivalent routes),
-and summarize with :func:`effect_report`.
+group-sorted :class:`PartitionedDesign`, fit it with :func:`fit_fwl`, and
+summarize with :func:`effect_report`. The design reads its n rows once,
+into per-group means and triangular factors; the fit, the report and the
+standard errors read only those. :func:`fit_monolithic` solves the full
+design instead and is kept as a cross-check.
 """
 
 from .dataio import Dataset, histogram, load_column, load_csv
@@ -34,7 +37,6 @@ from .regression import (
     fit_monolithic,
     group_summaries,
     r_squared_pair,
-    sigma2_hat,
     standard_errors,
 )
 
@@ -66,7 +68,6 @@ __all__ = [
     "magnitude_labels",
     "r_squared_pair",
     "regularized_incomplete_beta",
-    "sigma2_hat",
     "standard_errors",
     "t_from_d",
     "t_two_sided_p",

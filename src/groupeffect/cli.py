@@ -28,10 +28,10 @@ from .dataio import histogram, load_column, load_csv
 from .distributions import f_upper_p, t_two_sided_p
 from .effects import d_from_beta, effect_report, f_squared_from_r2
 from .errors import DataError, NumericError
-# fit_monolithic and group_summaries are no longer called here (both
-# subcommands fit by FWL, and the reports reuse EffectReport.groups); they stay
-# importable as cli.fit_monolithic and cli.group_summaries, the names
-# bench/spans.py traces.
+# fit_monolithic and group_summaries are not called here: both subcommands
+# fit by FWL, and the reports reuse EffectReport.groups, which effect_report
+# reads off the design's per-group factors. They stay importable as
+# cli.fit_monolithic and cli.group_summaries, the names bench/spans.py traces.
 from .regression import (
     build_design,
     coefficient_names,

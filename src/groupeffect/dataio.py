@@ -126,6 +126,8 @@ def _read(path, numeric_cols, group_col, delimiter):
     per cell. A cell that overflows ("1e999") passes the scan and reads as
     inf; one np.isfinite over the loaded values drops its row.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DataError(f"delimiter must be one character, got {delimiter!r}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)

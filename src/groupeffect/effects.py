@@ -21,7 +21,8 @@ from .errors import (
     ZeroSigmaError,
     ZeroVarianceError,
 )
-from .regression import GroupSummary, PartitionedDesign, PartitionedFit, group_summaries
+from .regression import (GroupSummary, PartitionedDesign, PartitionedFit, group_summaries,
+                         require_residual)
 
 __all__ = [
     "EffectReport",
@@ -167,9 +168,16 @@ def magnitude_labels(d: float, f_squared: float) -> tuple[str, str]:
 
 
 def effect_report(design: PartitionedDesign, fit: PartitionedFit) -> EffectReport:
-    """Assemble the full effect-size report for a fitted design."""
-    g1, g2 = group_summaries(design, fit.y_star)
-    d = cohens_d_adjusted(g1, g2, design.w)
+    """Assemble the full effect-size report for a fitted design.
+
+    d is :func:`cohens_d_adjusted` with -beta1, which equals the adjusted
+    mean difference (FWL), as its numerator: fit_fwl takes beta1 from
+    differences of group means, which keep their digits under a covariate
+    offset that each group's ``mean_adj`` carries.
+    """
+    g1, g2 = group_summaries(design, fit.delta2_hat)
+    require_residual(design)
+    d = -fit.beta1 / math.sqrt((g1.ss_adj + g2.ss_adj) / design.df)
     t = t_from_d(d, fit.gamma)
     f2 = f_squared_from_d(d, fit.gamma, design.n, design.w)
     f_value = f_stat(f2, 1, design.df)

@@ -9,25 +9,28 @@ holds the covariate columns. The same fit is available two ways:
   group-centered covariates, then read the group block off the group means).
 
 Centering within groups is the annihilator M1 of X1, so the partialled-out
-fit needs only the group counts, the group means of [X2 | y] and R, the
-(w+1) x (w+1) triangular factor of the group-centered [X2 | y]. Each design
-computes them once, from one copy of [X2 | y] centered in place, and keeps
-them. From R follow the rank check of the design, the covariate
-coefficients, sigma^2, gamma, both R^2 values and every standard error;
-cost and memory are linear in n and no n x n matrix is formed. Stacking R
-on the between-group row sqrt(n1 n2 / n) (mean1 - mean2) and
-re-triangularizing gives the factor of the overall-centered [X2 | y], i.e.
-the reduced model without the group dummy (the pairwise update of Chan,
-Golub & LeVeque).
+fit needs only, per group, its count, its means of [X2 | y] and R_j, the
+triangular factor of its centered [X2 | y]. Each design computes them once
+and keeps them; this core is the only code that reads the n-row arrays.
+Stacking R_1 on R_2 and re-triangularizing gives R, the (w+1) x (w+1)
+factor of the group-centered [X2 | y]. From R follow the rank check of the
+design, the covariate coefficients, sigma^2, gamma, both R^2 values and
+every standard error; from the R_j each group's summaries on the raw and
+the adjusted scale. Cost and memory are linear in n and no n x n matrix is
+formed. Stacking R on the between-group row sqrt(n1 n2 / n) (mean1 - mean2)
+and re-triangularizing gives the factor of the overall-centered [X2 | y],
+i.e. the reduced model without the group dummy (the pairwise update of
+Chan, Golub & LeVeque).
 
-The two routes agree to floating-point accuracy; keeping both makes that
-equivalence testable instead of assumed.
+The two routes agree to floating-point accuracy; the tests compare them,
+and compare the factored summaries with their residual forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .errors import (
     NonPositiveDfError,
     RankDeficientDesignError,
     RankDeficientError,
+    ZeroVarianceError,
 )
 
 __all__ = [
@@ -49,10 +53,9 @@ __all__ = [
     "build_design",
     "fit_monolithic",
     "fit_fwl",
-    "sigma2_hat",
     "group_summaries",
+    "require_residual",
     "r_squared_pair",
-    "delta1_from_adjusted",
     "coefficient_names",
     "standard_errors",
 ]
@@ -88,8 +91,8 @@ class PartitionedDesign:
         return self.n - 2 - self.w
 
     @cached_property
-    def _core(self):
-        """(mean1, diff, r, norms) of :func:`_group_core`, computed on first use.
+    def _core(self) -> "_GroupCore":
+        """The :func:`_group_core` of this design, computed on first use.
 
         The design's arrays must not be modified after that.
         """
@@ -119,7 +122,6 @@ class PartitionedFit:
     delta2_hat: np.ndarray  # covariate coefficients, length w
     sigma2_hat: float
     gamma: float  # scaled variance of the group coefficient
-    y_star: np.ndarray  # response adjusted for the fitted covariate part
     se_beta1: float
     r_squared: float
     r0_squared: float  # reduced model without the group dummy
@@ -195,58 +197,56 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
         group_labels=(g1, g2),
         covariate_names=tuple(name for name, _ in ds.covariates),
     )
-    _, _, r, norms = design._core
+    core = design._core
     try:
-        linalg._check_r_diagonal(r[:w, :w], n, scale=norms[:w])
+        linalg._check_r_diagonal(core.r[:w, :w], n, scale=core.norms[:w])
     except RankDeficientError as exc:
         raise RankDeficientDesignError(design.covariate_names[exc.column]) from None
     return design
 
 
-def delta1_from_adjusted(design: PartitionedDesign, y_star) -> np.ndarray:
-    """Recover (intercept, group coefficient) by regressing the adjusted
-    response on X1 alone; equals the full-design estimates."""
-    return linalg.qr_least_squares(design.x1, y_star)
+class _GroupCore(NamedTuple):
+    """What a design keeps of its n-row [X2 | y]; see :func:`_group_core`."""
+
+    means: tuple  # per group, the means of [X2 | y]
+    diff: np.ndarray  # group-2 minus group-1 means, taken before the shift is added back
+    factors: tuple  # per group, R_j of its centered [X2 | y]
+    r: np.ndarray  # the (w+1) x (w+1) factor of both groups stacked
+    norms: np.ndarray  # column norms of [X2 | y] less its first row
 
 
-def _group_stats(design: PartitionedDesign, v: np.ndarray):
-    """Per-group (mean, centered SS) of a vector in design row order."""
-    out = []
-    for sl in (slice(0, design.n1), slice(design.n1, design.n)):
-        part = v[sl]
-        mean = float(part.mean())
-        out.append((mean, float(np.sum((part - mean) ** 2))))
-    return out
+def _group_core(design: PartitionedDesign) -> _GroupCore:
+    """Per-group means and R factors of [X2 | y], and their pooled R factor.
 
+    The leading w x w block of the pooled r factors X2' M1 X2, its last
+    column above the diagonal carries X2' M1 y, and r[w, w]^2 is the
+    residual sum of squares of the full model. R_j' R_j is group j's
+    centered cross-product matrix of [X2 | y]; R_j has min(n_j, w+1) rows.
 
-def _group_core(design: PartitionedDesign):
-    """Group means of [X2 | y] and the R factor of the group-centered [X2 | y].
-
-    Returns (mean1, diff, r, norms): the group-1 means, the group-2 minus
-    group-1 mean differences, r of shape (w+1, w+1), and the column norms of
-    [X2 | y] less its first row. The leading w x w block of r factors
-    X2' M1 X2, its last column above the diagonal carries X2' M1 y, and
-    r[w, w]^2 is the residual sum of squares of the full model.
-
-    [X2 | y] is copied once and centered in place. The first row is
-    subtracted before the group means: that subtraction is exact for a
-    column far from zero, so the mean differences, and the rank check that
-    reads r, keep the digits a large common offset would otherwise round
-    away. The group means still round at the scale of the shifted columns,
-    so the rank check measures r against ``norms``, not against r itself: a
-    covariate that is constant within each group leaves a residue of that
-    rounding, which r alone would take for a full-rank column.
+    [X2 | y] is copied once, and each group is centered in place and
+    factored on its own. The first row is subtracted before the group
+    means and added back to the means kept: that subtraction is exact for
+    a column far from zero, so the mean differences, and the rank check
+    that reads r, keep the digits a large common offset would otherwise
+    round away. The group means still
+    round at the scale of the shifted columns, so the rank check measures r
+    against ``norms``, not against r itself: a covariate that is constant
+    within each group leaves a residue of that rounding, which r alone
+    would take for a full-rank column.
     """
     m = np.column_stack([design.x2, design.y])
     pivot = m[0].copy()
     m -= pivot
     norms = np.sqrt(np.einsum("ij,ij->j", m, m))
-    g1, g2 = m[: design.n1], m[design.n1:]
-    mean1, mean2 = g1.mean(axis=0), g2.mean(axis=0)
-    g1 -= mean1
-    g2 -= mean2
-    r = np.linalg.qr(m, mode="r")
-    return mean1 + pivot, mean2 - mean1, r, norms
+    means, factors = [], []
+    for group in (m[: design.n1], m[design.n1:]):
+        mean = group.mean(axis=0)
+        group -= mean
+        means.append(mean)
+        factors.append(np.linalg.qr(group, mode="r"))
+    r = np.linalg.qr(np.vstack(factors), mode="r")
+    return _GroupCore((means[0] + pivot, means[1] + pivot), means[1] - means[0],
+                      tuple(factors), r, norms)
 
 
 def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:
@@ -263,7 +263,8 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
     With no covariates this is simply the two group means.
     """
-    mean1, diff, r, _ = design._core
+    core = design._core
+    mean1, diff, r = core.means[0], core.diff, core.r
     w = design.w
     delta2 = np.linalg.solve(r[:w, :w], r[:w, w]) if w else np.empty(0)
     beta0 = mean1[w] - mean1[:w] @ delta2
@@ -272,9 +273,8 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
 
 def _finish_fit(design, delta1, delta2) -> PartitionedFit:
-    _, diff, r, _ = design._core
+    diff, r = design._core.diff, design._core.r
     w = design.w
-    y_star = design.y - design.x2 @ delta2
     sig2 = float(r[w, w]) ** 2 / _residual_df(design)
     # Var(beta1) / sigma^2 = 1/n1 + 1/n2 + (xbar1 - xbar2)' (X2' M1 X2)^-1 (xbar1 - xbar2)
     v = np.linalg.solve(r[:w, :w].T, diff[:w]) if w else np.empty(0)
@@ -285,7 +285,6 @@ def _finish_fit(design, delta1, delta2) -> PartitionedFit:
         delta2_hat=np.asarray(delta2, dtype=float),
         sigma2_hat=sig2,
         gamma=gamma,
-        y_star=y_star,
         se_beta1=float(np.sqrt(sig2 * gamma)),
         r_squared=r2,
         r0_squared=r02,
@@ -301,47 +300,50 @@ def _residual_df(design: PartitionedDesign) -> int:
     return design.df
 
 
-def sigma2_hat(design: PartitionedDesign, delta2_hat) -> float:
-    """Unbiased error-variance estimate given fitted covariate coefficients.
+def group_summaries(design: PartitionedDesign, delta2) -> tuple[GroupSummary, GroupSummary]:
+    """Means and centered sums of squares per group, on the raw scale and on
+    the scale of y - X2 delta2, the response adjusted by the covariate
+    coefficients ``delta2``.
 
-    Equals r' M1 r / (n - 2 - w) with r = y - X2 d2_hat, evaluated here as
-    the pooled within-group centered sum of squares of r (the two forms are
-    algebraically identical). The fitters take sigma^2 from R instead; this
-    residual form cross-checks it.
+    Read off the design's core in O(w^2). With v = [-delta2; 1], group j's
+    adjusted values are its rows of [X2 | y] times v, so their mean is its
+    means times v and their centered sum of squares ||R_j v||^2; the raw
+    scale is v = [0; 1].
     """
-    df = _residual_df(design)
-    delta2_hat = np.asarray(delta2_hat, dtype=float)
-    r = design.y - design.x2 @ delta2_hat
-    (_, ss1), (_, ss2) = _group_stats(design, r)
-    return (ss1 + ss2) / df
+    core = design._core
+    w = design.w
+    v = np.append(-linalg.as_vector(delta2, "delta2"), 1.0)
+    out = []
+    for n_rows, mean, factor in zip((design.n1, design.n2), core.means, core.factors):
+        raw, adj = factor[:, w], factor @ v
+        out.append(GroupSummary(n_rows=n_rows, mean_raw=float(mean[w]), ss_raw=float(raw @ raw),
+                                mean_adj=float(mean @ v), ss_adj=float(adj @ adj)))
+    return tuple(out)
 
 
-def group_summaries(design: PartitionedDesign, y_star) -> tuple[GroupSummary, GroupSummary]:
-    """Means and centered sums of squares per group, on the raw and the
-    covariate-adjusted scale."""
-    y_star = linalg.as_vector(y_star, "y_star")
-    raw = _group_stats(design, design.y)
-    adj = _group_stats(design, y_star)
-    sizes = (design.n1, design.n2)
-    return tuple(
-        GroupSummary(n_rows=sizes[j], mean_raw=raw[j][0], ss_raw=raw[j][1],
-                     mean_adj=adj[j][0], ss_adj=adj[j][1])
-        for j in (0, 1)
-    )
+def require_residual(design: PartitionedDesign) -> None:
+    """Raise ZeroVarianceError if the response is a linear function of the
+    group and the covariates: |R_ww|, the root of the residual sum of
+    squares, is at or below the rank check's rounding level for y."""
+    w = design.w
+    try:
+        linalg._check_r_diagonal(design._core.r[w:, w:], design.n,
+                                 scale=design._core.norms[w:])
+    except RankDeficientError:
+        raise ZeroVarianceError("the response is a linear function of the group and "
+                                "the covariates; no residual variance is left") from None
 
 
 def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:
     """Coefficients of determination of the full model and of the reduced
     model that drops the group dummy (intercept plus covariates only)."""
-    if np.ptp(design.y) == 0.0:
-        raise DegenerateResponseError("response is constant")
-    _, diff, r, _ = design._core
+    diff, r = design._core.diff, design._core.r
     w = design.w
     between = np.sqrt(design.n1 * design.n2 / design.n) * diff
     r0 = np.linalg.qr(np.vstack([r, between]), mode="r")
     total_ss = float(r0[:, w] @ r0[:, w])
     if total_ss == 0.0:
-        raise DegenerateResponseError("response has zero centered sum of squares")
+        raise DegenerateResponseError("response is constant")
     r2 = 1.0 - float(r[w, w]) ** 2 / total_ss
     r02 = 1.0 - float(r0[w, w]) ** 2 / total_ss
     return r2, r02
@@ -356,7 +358,7 @@ def standard_errors(design: PartitionedDesign, fit: PartitionedFit) -> np.ndarra
     and the diagonal of S^-1, the squared row norms of R_xx^-1, for the
     covariates.
     """
-    mean1, _, r, _ = design._core
+    mean1, r = design._core.means[0], design._core.r
     w = design.w
     rinv = np.linalg.inv(r[:w, :w])
     a = mean1[:w] @ rinv  # R_xx^-T xbar1

@@ -1,9 +1,10 @@
-"""Explicit n x n matrix forms of the partitioned-regression algebra.
+"""Explicit n x n matrix and residual forms of the partitioned-regression
+algebra.
 
-The library never builds these matrices: its fit works from group means and
-a small triangular factor. The tests build them here on purpose, straight
-from the textbook formulas, so that the factored computation is checked
-against an independent route.
+The library never builds these: its fit, report and standard errors work
+from per-group means and small triangular factors. The tests build them here
+on purpose, straight from the textbook formulas, so that the factored
+computation is checked against an independent route.
 """
 
 import numpy as np
@@ -11,9 +12,60 @@ import numpy as np
 from groupeffect import linalg
 from groupeffect.errors import (
     DimensionMismatchError,
+    NonPositiveDfError,
     NonSquareError,
     NotPositiveDefiniteError,
 )
+from groupeffect.regression import GroupSummary
+
+
+def _group_stats(design, v: np.ndarray):
+    """Per-group (mean, centered SS) of a vector in design row order."""
+    out = []
+    for sl in (slice(0, design.n1), slice(design.n1, design.n)):
+        part = v[sl]
+        mean = float(part.mean())
+        out.append((mean, float(np.sum((part - mean) ** 2))))
+    return out
+
+
+def group_summaries(design, y_star) -> tuple[GroupSummary, GroupSummary]:
+    """Means and centered sums of squares per group of the raw response and
+    of an adjusted response ``y_star`` (such as y - X2 delta2), each by a
+    pass over its n rows."""
+    y_star = linalg.as_vector(y_star, "y_star")
+    raw = _group_stats(design, design.y)
+    adj = _group_stats(design, y_star)
+    sizes = (design.n1, design.n2)
+    return tuple(
+        GroupSummary(n_rows=sizes[j], mean_raw=raw[j][0], ss_raw=raw[j][1],
+                     mean_adj=adj[j][0], ss_adj=adj[j][1])
+        for j in (0, 1)
+    )
+
+
+def sigma2_hat(design, delta2_hat) -> float:
+    """Unbiased error-variance estimate given fitted covariate coefficients.
+
+    Equals r' M1 r / (n - 2 - w) with r = y - X2 d2_hat, evaluated here as
+    the pooled within-group centered sum of squares of r (the two forms are
+    algebraically identical). The fitters take sigma^2 from R instead; this
+    residual form cross-checks it.
+    """
+    if design.df <= 0:
+        raise NonPositiveDfError(
+            f"no residual degrees of freedom (n={design.n}, w={design.w})"
+        )
+    delta2_hat = np.asarray(delta2_hat, dtype=float)
+    r = design.y - design.x2 @ delta2_hat
+    (_, ss1), (_, ss2) = _group_stats(design, r)
+    return (ss1 + ss2) / design.df
+
+
+def delta1_from_adjusted(design, y_star) -> np.ndarray:
+    """Recover (intercept, group coefficient) by regressing the adjusted
+    response on X1 alone; equals the full-design estimates."""
+    return linalg.qr_least_squares(design.x1, y_star)
 
 
 def annihilator_group(design) -> np.ndarray:

@@ -25,21 +25,21 @@ from groupeffect import (
     f_upper_p,
     fit_fwl,
     fit_monolithic,
-    group_summaries,
     load_csv,
-    sigma2_hat,
     standard_errors,
     t_from_d,
     t_two_sided_p,
 )
 from groupeffect.linalg import qr_least_squares
-from groupeffect.regression import delta1_from_adjusted
 
 from conftest import make_design, student_csv_path
 from oracles import (
     annihilator_group,
+    delta1_from_adjusted,
     delta1_scaled_covariance,
+    group_summaries,
     residual_quadratic_matrix,
+    sigma2_hat,
 )
 
 # Reference values computed with R on the student dataset (n = 649,
@@ -87,9 +87,11 @@ def test_student_classic_analysis_reproduces_reference_values():
     elapsed = time.perf_counter() - start
 
     assert (design.n1, design.n2) == (REF["n1"], REF["n2"])
-    g1, g2 = group_summaries(design, fit.y_star)
-    relclose(g1.mean_raw, REF["mean_group1"])
-    relclose(g2.mean_raw, REF["mean_group2"])
+    # the report's summaries and their residual form over the n rows
+    for g1, g2 in (report.groups,
+                   group_summaries(design, design.y - design.x2 @ fit.delta2_hat)):
+        relclose(g1.mean_raw, REF["mean_group1"])
+        relclose(g2.mean_raw, REF["mean_group2"])
     relclose(report.t, REF["t_classic"])
     relclose(report.p_value, REF["p_classic"])
     relclose(report.d, REF["d_classic"])

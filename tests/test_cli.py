@@ -161,6 +161,17 @@ class TestEffectCommand:
         assert code == 3
         assert "ZeroVariance" in err
 
+    @pytest.mark.parametrize("covariates", [("G3", "Fedu"), ("G3",)])
+    @pytest.mark.parametrize("command", ["effect", "fit"])
+    def test_response_linear_in_group_and_covariates_exits_3(self, capsys, command,
+                                                               covariates):
+        # the residual is rounding noise, not an exact zero: |R_ww| is about
+        # 3e-14 against a rank-check tolerance of 1.4e-11
+        code, out, err = run(capsys, command, *student_args(*covariates),
+                             "--format", "json")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ZeroVarianceError:")
+
     def test_precision_controls_text_digits(self, capsys):
         code, out, _ = run(capsys, "effect", *student_args(), "--precision", "3")
         assert code == 0
@@ -177,6 +188,18 @@ class TestEffectCommand:
         )
         assert code == 0
         assert "groups: a (n=3) vs b (n=3)" in out
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    @pytest.mark.parametrize("command", ["effect", "hist"])
+    def test_delimiter_of_other_than_one_character_exits_2(self, capsys, command,
+                                                           delimiter):
+        argv = [command, "--data", str(student_csv_path()), "--response", "G3",
+                "--delimiter", delimiter]
+        if command == "effect":
+            argv += ["--group", "sex"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: DataError: delimiter must be one character, got {delimiter!r}\n"
 
 
 class TestFitCommand:
@@ -243,6 +266,27 @@ class TestFitCommand:
         assert shifted[1]["name"] == base[1]["name"] == "group[b]"
         for key in ("estimate", "std_error", "t_value"):
             assert shifted[1][key] == pytest.approx(base[1][key], rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [1e9, 1e13])
+    def test_d_routes_agree_under_a_covariate_offset(self, capsys, tmp_path, offset):
+        # the reported d takes -beta1, which the first-row shift keeps exact,
+        # as its numerator; the group means of y - X2 d2 carry the offset
+        rng = np.random.default_rng(3)
+        n = 2000
+        group = rng.uniform(size=n) < 0.5
+        x = np.round(rng.standard_normal(n) * 2**9) / 2**9  # x + offset is exact
+        y = 1.0 + 0.4 * group + 0.6 * x + rng.standard_normal(n)
+        path = tmp_path / "offset.csv"
+        path.write_text("g;y;x\n" + "".join(
+            f"{'ab'[int(gi)]};{yi!r};{xi + offset:.9f}\n"
+            for gi, yi, xi in zip(group, y.tolist(), x.tolist())))
+        code, out, err = run(capsys, "effect", "--data", str(path), "--response", "y",
+                             "--group", "g", "--covariates", "x", "--format", "json")
+        assert (code, err) == (0, "")
+        routes = json.loads(out)["effect"]["d_routes"]
+        d = routes["from_coefficient"]
+        assert routes["from_group_summaries"] == pytest.approx(d, rel=1e-12)
+        assert routes["from_f_squared"] == pytest.approx(d, rel=1e-12)
 
 
 

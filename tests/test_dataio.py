@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from groupeffect import Dataset, dataio, histogram, load_column, load_csv
 from groupeffect.dataio import _parse_number, _read
 from groupeffect.errors import (
+    DataError,
     DuplicateColumnError,
     EmptyAfterFilteringError,
     MissingColumnError,
@@ -50,6 +51,16 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, text), response_col="y", group_col="g",
                       delimiter=",")
         assert ds.group_labels == ("A", "B", "A", "B")
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_of_other_than_one_character(self, tmp_path, delimiter):
+        path = write(tmp_path, BASIC)
+        for load in (lambda: load_csv(path, response_col="score", group_col="grp",
+                                      delimiter=delimiter),
+                     lambda: load_column(path, "score", delimiter=delimiter)):
+            with pytest.raises(DataError, match="delimiter") as err:
+                load()
+            assert repr(delimiter) in str(err.value)
 
     def test_missing_column(self, tmp_path):
         with pytest.raises(MissingColumnError) as err:

@@ -54,7 +54,7 @@ class TestCohensD:
         rng = np.random.default_rng(1)
         design = make_design(rng, n=24, w=0)
         fit = fit_fwl(design)
-        g1, g2 = group_summaries(design, fit.y_star)
+        g1, g2 = group_summaries(design, fit.delta2_hat)
         assert cohens_d_adjusted(g1, g2, 0) == pytest.approx(
             cohens_d(g1, g2), rel=1e-14
         )

@@ -14,7 +14,6 @@ from groupeffect import (
     fit_monolithic,
     group_summaries,
     r_squared_pair,
-    sigma2_hat,
     standard_errors,
 )
 from groupeffect import linalg
@@ -25,16 +24,19 @@ from groupeffect.errors import (
     NonPositiveDfError,
     RankDeficientDesignError,
 )
-from groupeffect.regression import coefficient_names, delta1_from_adjusted
+from groupeffect.regression import coefficient_names
 
 from conftest import cramer_least_squares, make_dataset, make_design
 from oracles import (
     annihilator_covariates,
     annihilator_group,
+    delta1_from_adjusted,
     delta1_scaled_covariance,
     residual_quadratic_matrix,
+    sigma2_hat,
     standard_errors_qr,
 )
+from oracles import group_summaries as residual_group_summaries
 
 
 def small_dataset(labels=("B", "A", "A", "B"), y=(4.0, 1.0, 2.0, 3.0), covs=()):
@@ -141,19 +143,23 @@ class TestFits:
         y2 = design.y[design.n1:]
         assert fit.beta0 == pytest.approx(y1.mean(), rel=1e-12)
         assert fit.beta1 == pytest.approx(y2.mean() - y1.mean(), rel=1e-12)
-        np.testing.assert_array_equal(fit.y_star, design.y)
+        # with no covariates the adjusted scale is the raw scale
+        for g in group_summaries(design, fit.delta2_hat):
+            assert g.mean_adj == g.mean_raw and g.ss_adj == g.ss_raw
 
     def test_adjusted_group_mean_identity(self):
         # intercept = group-1 mean of the adjusted response; group coefficient
-        # = adjusted group-mean difference
+        # = adjusted group-mean difference, in the residual form and as the
+        # design's factors give it
         rng = np.random.default_rng(104)
         for _ in range(15):
             design = make_design(rng)
             fit = fit_fwl(design)
-            ys1 = fit.y_star[: design.n1]
-            ys2 = fit.y_star[design.n1:]
-            assert fit.beta0 == pytest.approx(ys1.mean(), abs=1e-10)
-            assert fit.beta1 == pytest.approx(ys2.mean() - ys1.mean(), abs=1e-10)
+            y_star = design.y - design.x2 @ fit.delta2_hat
+            for g1, g2 in (residual_group_summaries(design, y_star),
+                           group_summaries(design, fit.delta2_hat)):
+                assert fit.beta0 == pytest.approx(g1.mean_adj, abs=1e-10)
+                assert fit.beta1 == pytest.approx(g2.mean_adj - g1.mean_adj, abs=1e-10)
 
     def test_r0_never_exceeds_r_squared(self):
         rng = np.random.default_rng(105)
@@ -210,8 +216,9 @@ class TestStandardErrors:
                                    standard_errors_qr(design, fit), rtol=1e-9)
 
     def test_one_n_row_qr_from_design_to_coefficient_table(self, monkeypatch):
-        # the rank check, the fit, gamma, R^2 and the standard errors all
-        # come from one factorization of the n-row [X2 | y]
+        # the rank check, the fit, gamma, R^2, the group summaries and the
+        # standard errors all come from one factorization of each group's
+        # rows of [X2 | y]; no QR runs over all n rows
         design_rows = []
         qr = np.linalg.qr
 
@@ -225,7 +232,11 @@ class TestStandardErrors:
         fit = fit_fwl(design)
         effect_report(design, fit)
         standard_errors(design, fit)
-        assert design_rows.count(design.n) == 1, design_rows
+        n1, n2 = design.n1, design.n2
+        # the other QRs factor stacks of 2(w+1) or 2(w+1)+1 rows
+        assert len({n1, n2, design.n}) == 3 and min(n1, n2) > 2 * (design.w + 2)
+        assert design_rows.count(design.n) == 0, design_rows
+        assert design_rows.count(n1) == 1 and design_rows.count(n2) == 1, design_rows
 
 
 class TestSigma2:
@@ -247,10 +258,12 @@ class TestSigma2:
         for _ in range(15):
             design = make_design(rng)
             fit = fit_fwl(design)
-            g1, g2 = group_summaries(design, fit.y_star)
-            assert fit.sigma2_hat == pytest.approx(
-                (g1.ss_adj + g2.ss_adj) / design.df, rel=1e-10
-            )
+            y_star = design.y - design.x2 @ fit.delta2_hat
+            for g1, g2 in (residual_group_summaries(design, y_star),
+                           group_summaries(design, fit.delta2_hat)):
+                assert fit.sigma2_hat == pytest.approx(
+                    (g1.ss_adj + g2.ss_adj) / design.df, rel=1e-10
+                )
 
     def test_exact_fit_gives_zero(self):
         ds = Dataset(response=np.array([2.0, 2.0, 5.0, 5.0]),
@@ -332,10 +345,28 @@ class TestGroupSummariesAndR2:
         ds = Dataset(response=np.array([3.0, 3.0, 7.0, 7.0, 7.0]),
                      group_labels=("a", "a", "b", "b", "b"))
         design = build_design(ds)
-        g1, g2 = group_summaries(design, design.y)
+        g1, g2 = group_summaries(design, np.empty(0))
         assert (g1.n_rows, g2.n_rows) == (2, 3)
         assert g1.mean_raw == 3.0 and g2.mean_raw == 7.0
         assert g1.ss_raw == 0.0 and g2.ss_raw == 0.0
+
+    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120), w=st.integers(0, 5),
+           offsets=st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                            min_size=5, max_size=5))
+    def test_match_residual_form(self, fitter, seed, n, w, offsets):
+        ds = make_dataset(np.random.default_rng(seed), n=n, w=w)
+        design = build_design(replace(ds, covariates=tuple(
+            (name, col + offset) for (name, col), offset in zip(ds.covariates, offsets)
+        )))
+        delta2 = fitter(design).delta2_hat
+        got = group_summaries(design, delta2)
+        want = residual_group_summaries(design, design.y - design.x2 @ delta2)
+        for g, o in zip(got, want):
+            assert g.n_rows == o.n_rows
+            for field in ("mean_raw", "ss_raw", "mean_adj", "ss_adj"):
+                assert getattr(g, field) == pytest.approx(getattr(o, field), rel=1e-9), field
 
     def test_r_squared_bounds_random(self):
         rng = np.random.default_rng(114)
@@ -358,10 +389,13 @@ class TestGroupSummariesAndR2:
         assert r02 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response(self):
-        ds = Dataset(response=np.full(6, 4.0),
-                     group_labels=("a", "a", "a", "b", "b", "b"))
-        with pytest.raises(DegenerateResponseError):
-            r_squared_pair(build_design(ds))
+        # the first-row shift makes a constant response exactly zero, at any
+        # level, so its total sum of squares is an exact zero
+        for level in (4.0, 0.1, 1e13):
+            ds = Dataset(response=np.full(6, level),
+                         group_labels=("a", "a", "a", "b", "b", "b"))
+            with pytest.raises(DegenerateResponseError, match="response is constant"):
+                r_squared_pair(build_design(ds))
 
     def test_quadratic_form_oracle(self):
         # direct evaluation of the projector quadratic forms
@@ -392,3 +426,18 @@ class TestLinearMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_nothing_after_the_design_grows_with_n(self):
+        # the design's core holds counts, means and (w+1)-column factors;
+        # the fit, the report and the coefficient table read only those, so
+        # at n = 1e5 they allocate no n-row array (800 KB each)
+        design = make_design(np.random.default_rng(120), n=100_000, w=10)
+        tracemalloc.start()
+        try:
+            fit = fit_fwl(design)
+            effect_report(design, fit)
+            standard_errors(design, fit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3, f"peak {peak / 1e3:.1f} KB"
