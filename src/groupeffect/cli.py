@@ -192,23 +192,23 @@ def _analyze(config: AnalysisConfig):
         delimiter=config.delimiter,
     )
     design = build_design(ds, reference_level=config.reference_level)
-    return ds, design, fit_fwl(design)
+    fit = fit_fwl(design)
+    return ds, design, fit, effect_report(design, fit)
+
+
+def _coefficient_rows(design, fit):
+    """(name, estimate, std. error, t value, p value) per coefficient."""
+    estimates = np.concatenate([fit.delta1_hat, fit.delta2_hat])
+    ses = standard_errors(design, fit)
+    for name, est, se in zip(coefficient_names(design), estimates, ses):
+        tv = float(est / se)
+        yield name, float(est), float(se), tv, t_two_sided_p(tv, design.df)
 
 
 def _report_json(config, ds, design, fit, report) -> dict:
-    names = coefficient_names(design)
-    estimates = np.concatenate([fit.delta1_hat, fit.delta2_hat])
-    ses = standard_errors(design, fit)
-    tvals = estimates / ses
     table = [
-        {
-            "name": name,
-            "estimate": float(est),
-            "std_error": float(se),
-            "t_value": float(tv),
-            "p_value": t_two_sided_p(float(tv), design.df),
-        }
-        for name, est, se, tv in zip(names, estimates, ses, tvals)
+        {"name": name, "estimate": est, "std_error": se, "t_value": tv, "p_value": pv}
+        for name, est, se, tv, pv in _coefficient_rows(design, fit)
     ]
     g1, g2 = report.groups
     sign = -1.0 if fit.beta1 > 0 else 1.0  # d has group1 - group2 in the numerator
@@ -287,20 +287,15 @@ def _effect_text(config, ds, design, fit, report) -> str:
     return "\n".join(lines)
 
 
-def _fit_text(config, ds, design, fit) -> str:
+def _fit_text(config, ds, design, fit, report) -> str:
     p = config.precision
-    names = coefficient_names(design)
-    estimates = np.concatenate([fit.delta1_hat, fit.delta2_hat])
-    ses = standard_errors(design, fit)
-    width = max(len(n) for n in names) + 2
+    width = max(map(len, coefficient_names(design))) + 2
     lines = [
         f"data: {ds.source} ({ds.n_rows} rows used, {ds.dropped_rows} dropped)",
         f"{'coefficient':<{width}}{'estimate':>14}{'std.error':>14}"
         f"{'t value':>12}{'p value':>14}",
     ]
-    for name, est, se in zip(names, estimates, ses):
-        tv = est / se
-        pv = t_two_sided_p(float(tv), design.df)
+    for name, est, se, tv, pv in _coefficient_rows(design, fit):
         lines.append(
             f"{name:<{width}}{_fmt(est, p):>14}{_fmt(se, p):>14}"
             f"{_fmt(tv, max(p - 2, 1)):>12}{_fmt(pv, max(p - 4, 1)):>14}"
@@ -312,23 +307,15 @@ def _fit_text(config, ds, design, fit) -> str:
     return "\n".join(lines)
 
 
-def cmd_effect(config: AnalysisConfig) -> int:
-    ds, design, fit = _analyze(config)
-    report = effect_report(design, fit)
+def cmd_model(config: AnalysisConfig, command: str) -> int:
+    """Run ``effect`` or ``fit``: the same analysis and JSON document; the
+    command chooses only the text renderer."""
+    ds, design, fit, report = _analyze(config)
     if config.output_format == "json":
         print(json.dumps(_report_json(config, ds, design, fit, report), indent=2))
     else:
-        print(_effect_text(config, ds, design, fit, report))
-    return EXIT_OK
-
-
-def cmd_fit(config: AnalysisConfig) -> int:
-    ds, design, fit = _analyze(config)
-    if config.output_format == "json":
-        report = effect_report(design, fit)
-        print(json.dumps(_report_json(config, ds, design, fit, report), indent=2))
-    else:
-        print(_fit_text(config, ds, design, fit))
+        render = _effect_text if command == "effect" else _fit_text
+        print(render(config, ds, design, fit, report))
     return EXIT_OK
 
 
@@ -372,10 +359,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_join_negative_edges(argv))
     config = _config_from_args(args)
     try:
-        if args.command == "effect":
-            return cmd_effect(config)
-        if args.command == "fit":
-            return cmd_fit(config)
+        if args.command in ("effect", "fit"):
+            return cmd_model(config, args.command)
         return cmd_hist(config, edges=args.edges)
     except BrokenPipeError:  # stdout's reader has gone (`... | head -1`)
         return EXIT_BROKEN_PIPE

@@ -46,7 +46,7 @@ __all__ = ["Dataset", "load_csv", "load_column", "histogram"]
 # else (and a value that overflows to inf) drops the row
 _NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # Over this alphabet float() accepts a cell exactly when _NUMERIC_RE accepts
-# its strip(): no inf/nan or "_", and none of the \x1c-\x1f separators that
+# its strip(): no inf/nan or "_", and none of the U+001C-U+001F separators that
 # str.strip() removes but float() rejects. "|" joins cells.
 _BLOCK_RE = re.compile(r"[0-9eE+\-. \t\n\r\x0b\x0c|]+")
 _BLOCK_ROWS = 64

@@ -10,17 +10,18 @@ holds the covariate columns. The same fit is available two ways:
 
 Centering within groups is the annihilator M1 of X1, so the partialled-out
 fit needs only, per group, its count, its means of [X2 | y] and R_j, the
-triangular factor of its centered [X2 | y]. Each design computes them once
-and keeps them; this core is the only code that reads the n-row arrays.
-Stacking R_1 on R_2 and re-triangularizing gives R, the (w+1) x (w+1)
-factor of the group-centered [X2 | y]. From R follow the rank check of the
-design, the covariate coefficients, sigma^2, gamma, both R^2 values and
-every standard error; from the R_j each group's summaries on the raw and
-the adjusted scale. Cost and memory are linear in n and no n x n matrix is
-formed. Stacking R on the between-group row sqrt(n1 n2 / n) (mean1 - mean2)
-and re-triangularizing gives the factor of the overall-centered [X2 | y],
-i.e. the reduced model without the group dummy (the pairwise update of
-Chan, Golub & LeVeque).
+triangular factor of its centered [X2 | y]. :func:`build_design` computes
+them and keeps them as fields of the design; after it, only
+:func:`fit_monolithic` reads an n-row array. Stacking R_1 on R_2 and
+re-triangularizing gives R, the (w+1) x (w+1) factor of the group-centered
+[X2 | y]. From R follow the rank check of the design, the covariate
+coefficients, sigma^2, gamma, both R^2 values and every standard error;
+from the R_j each group's summaries on the raw and the adjusted scale. Cost
+and memory are linear in n and no n x n matrix is formed. Stacking R on
+the between-group row sqrt(n1 n2 / n) (mean1 - mean2) and
+re-triangularizing gives the factor of the overall-centered [X2 | y], i.e.
+the reduced model without the group dummy (the pairwise update of Chan,
+Golub & LeVeque).
 
 The two routes agree to floating-point accuracy; the tests compare them,
 and compare the factored summaries with their residual forms.
@@ -29,8 +30,6 @@ and compare the factored summaries with their residual forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,20 +62,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartitionedDesign:
-    """Group-sorted design for the partitioned model.
+    """Group-sorted design for the partitioned model, with its group factors.
 
     Rows 0..n1-1 belong to group 1 (dummy 0), the rest to group 2 (dummy 1).
     ``row_order[i]`` is the index of design row i in the original dataset.
+    ``x2`` and ``y`` are views of one group-ordered [X2 | y] array.
+    :func:`build_design` fills in the rest, which is all that the fit, the
+    report and the standard errors read:
+
+    * ``means``: per group, the means of [X2 | y];
+    * ``diff``: group-2 minus group-1 means, taken before the first-row
+      shift is added back (see :func:`build_design`);
+    * ``factors``: per group, R_j, the triangular factor of its centered
+      [X2 | y], with min(n_j, w+1) rows; R_j' R_j is the group's centered
+      cross-product matrix;
+    * ``r``: the (w+1) x (w+1) factor of R_1 stacked on R_2. Its leading
+      w x w block factors X2' M1 X2, its last column above the diagonal
+      carries X2' M1 y, and r[w, w]^2 is the residual sum of squares of the
+      full model;
+    * ``norms``: the column norms of [X2 | y] less its first row, the scale
+      of the rank check.
     """
 
     y: np.ndarray
-    x1: np.ndarray
     x2: np.ndarray
     n1: int
     n2: int
     row_order: np.ndarray
     group_labels: tuple[str, str]
-    covariate_names: tuple[str, ...] = ()
+    covariate_names: tuple[str, ...]
+    means: tuple[np.ndarray, np.ndarray]
+    diff: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray]
+    r: np.ndarray
+    norms: np.ndarray
 
     @property
     def n(self) -> int:
@@ -89,14 +108,6 @@ class PartitionedDesign:
     @property
     def df(self) -> int:
         return self.n - 2 - self.w
-
-    @cached_property
-    def _core(self) -> "_GroupCore":
-        """The :func:`_group_core` of this design, computed on first use.
-
-        The design's arrays must not be modified after that.
-        """
-        return _group_core(self)
 
 
 @dataclass(frozen=True)
@@ -159,6 +170,17 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     within groups annihilates the intercept and the dummy, so the design
     has full rank exactly when the group-centered covariates have; the
     check reads the diagonal of their R factor.
+
+    The selected columns are read once, into [X2 | y] in design row order.
+    Each group's rows are copied, shifted by the first row, centered and
+    factored on their own. The first row is subtracted before the group
+    means and added back to the means kept: that subtraction is exact for
+    a column far from zero, so the mean differences, and the rank check
+    that reads r, keep the digits a large common offset would otherwise
+    round away. The group means still round at the scale of the shifted
+    columns, so the rank check measures r against ``norms``, not against r
+    itself: a covariate that is constant within each group leaves a residue
+    of that rounding, which r alone would take for a full-rank column.
     """
     labels = sorted(set(ds.group_labels))
     if reference_level is not None:
@@ -183,75 +205,38 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
             f"{n} rows cannot support an intercept, a group dummy and {w} covariate(s)"
         )
 
-    y = linalg.as_vector(ds.response, "response")[order]
-    x1 = np.ones((n, 2))
-    x1[:n1, 1] = 0.0
-    if w:
-        x2 = np.column_stack([linalg.as_vector(col, name)[order]
-                              for name, col in ds.covariates])
-    else:
-        x2 = np.empty((n, 0))
-
-    design = PartitionedDesign(
-        y=y, x1=x1, x2=x2, n1=n1, n2=n2, row_order=order,
-        group_labels=(g1, g2),
-        covariate_names=tuple(name for name, _ in ds.covariates),
-    )
-    core = design._core
-    try:
-        linalg._check_r_diagonal(core.r[:w, :w], n, scale=core.norms[:w])
-    except RankDeficientError as exc:
-        raise RankDeficientDesignError(design.covariate_names[exc.column]) from None
-    return design
-
-
-class _GroupCore(NamedTuple):
-    """What a design keeps of its n-row [X2 | y]; see :func:`_group_core`."""
-
-    means: tuple  # per group, the means of [X2 | y]
-    diff: np.ndarray  # group-2 minus group-1 means, taken before the shift is added back
-    factors: tuple  # per group, R_j of its centered [X2 | y]
-    r: np.ndarray  # the (w+1) x (w+1) factor of both groups stacked
-    norms: np.ndarray  # column norms of [X2 | y] less its first row
-
-
-def _group_core(design: PartitionedDesign) -> _GroupCore:
-    """Per-group means and R factors of [X2 | y], and their pooled R factor.
-
-    The leading w x w block of the pooled r factors X2' M1 X2, its last
-    column above the diagonal carries X2' M1 y, and r[w, w]^2 is the
-    residual sum of squares of the full model. R_j' R_j is group j's
-    centered cross-product matrix of [X2 | y]; R_j has min(n_j, w+1) rows.
-
-    [X2 | y] is copied once, and each group is centered in place and
-    factored on its own. The first row is subtracted before the group
-    means and added back to the means kept: that subtraction is exact for
-    a column far from zero, so the mean differences, and the rank check
-    that reads r, keep the digits a large common offset would otherwise
-    round away. The group means still
-    round at the scale of the shifted columns, so the rank check measures r
-    against ``norms``, not against r itself: a covariate that is constant
-    within each group leaves a residue of that rounding, which r alone
-    would take for a full-rank column.
-    """
-    m = np.column_stack([design.x2, design.y])
-    pivot = m[0].copy()
-    m -= pivot
-    norms = np.sqrt(np.einsum("ij,ij->j", m, m))
-    means, factors = [], []
-    for group in (m[: design.n1], m[design.n1:]):
+    data = np.empty((n, w + 1))
+    for j, (name, col) in enumerate((*ds.covariates, ("response", ds.response))):
+        np.take(linalg.as_vector(col, name), order, out=data[:, j])
+    pivot = data[0].copy()
+    sumsq, means, factors = 0.0, [], []
+    for rows in (data[:n1], data[n1:]):
+        group = rows - pivot
+        sumsq = sumsq + np.einsum("ij,ij->j", group, group)
         mean = group.mean(axis=0)
         group -= mean
         means.append(mean)
         factors.append(np.linalg.qr(group, mode="r"))
     r = np.linalg.qr(np.vstack(factors), mode="r")
-    return _GroupCore((means[0] + pivot, means[1] + pivot), means[1] - means[0],
-                      tuple(factors), r, norms)
+    norms = np.sqrt(sumsq)
+    names = tuple(name for name, _ in ds.covariates)
+    try:
+        linalg._check_r_diagonal(r[:w, :w], n, scale=norms[:w])
+    except RankDeficientError as exc:
+        raise RankDeficientDesignError(names[exc.column]) from None
+    return PartitionedDesign(
+        y=data[:, w], x2=data[:, :w], n1=n1, n2=n2, row_order=order,
+        group_labels=(g1, g2), covariate_names=names,
+        means=(means[0] + pivot, means[1] + pivot), diff=means[1] - means[0],
+        factors=tuple(factors), r=r, norms=norms,
+    )
 
 
 def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:
-    """Fit by solving the full design (X1, X2) in a single pass."""
-    x = np.hstack([design.x1, design.x2])
+    """Fit by solving the full design [1 | dummy | X2] in a single pass."""
+    x = np.ones((design.n, 2 + design.w))
+    x[: design.n1, 1] = 0.0
+    x[:, 2:] = design.x2
     coef = linalg.qr_least_squares(x, design.y)
     return _finish_fit(design, coef[:2], coef[2:])
 
@@ -263,8 +248,7 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
     With no covariates this is simply the two group means.
     """
-    core = design._core
-    mean1, diff, r = core.means[0], core.diff, core.r
+    mean1, diff, r = design.means[0], design.diff, design.r
     w = design.w
     delta2 = np.linalg.solve(r[:w, :w], r[:w, w]) if w else np.empty(0)
     beta0 = mean1[w] - mean1[:w] @ delta2
@@ -273,7 +257,7 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 
 
 def _finish_fit(design, delta1, delta2) -> PartitionedFit:
-    diff, r = design._core.diff, design._core.r
+    diff, r = design.diff, design.r
     w = design.w
     sig2 = float(r[w, w]) ** 2 / _residual_df(design)
     # Var(beta1) / sigma^2 = 1/n1 + 1/n2 + (xbar1 - xbar2)' (X2' M1 X2)^-1 (xbar1 - xbar2)
@@ -305,16 +289,15 @@ def group_summaries(design: PartitionedDesign, delta2) -> tuple[GroupSummary, Gr
     the scale of y - X2 delta2, the response adjusted by the covariate
     coefficients ``delta2``.
 
-    Read off the design's core in O(w^2). With v = [-delta2; 1], group j's
-    adjusted values are its rows of [X2 | y] times v, so their mean is its
-    means times v and their centered sum of squares ||R_j v||^2; the raw
-    scale is v = [0; 1].
+    Read off the design's group factors in O(w^2). With v = [-delta2; 1],
+    group j's adjusted values are its rows of [X2 | y] times v, so their
+    mean is its means times v and their centered sum of squares
+    ||R_j v||^2; the raw scale is v = [0; 1].
     """
-    core = design._core
     w = design.w
     v = np.append(-linalg.as_vector(delta2, "delta2"), 1.0)
     out = []
-    for n_rows, mean, factor in zip((design.n1, design.n2), core.means, core.factors):
+    for n_rows, mean, factor in zip((design.n1, design.n2), design.means, design.factors):
         raw, adj = factor[:, w], factor @ v
         out.append(GroupSummary(n_rows=n_rows, mean_raw=float(mean[w]), ss_raw=float(raw @ raw),
                                 mean_adj=float(mean @ v), ss_adj=float(adj @ adj)))
@@ -327,8 +310,7 @@ def require_residual(design: PartitionedDesign) -> None:
     squares, is at or below the rank check's rounding level for y."""
     w = design.w
     try:
-        linalg._check_r_diagonal(design._core.r[w:, w:], design.n,
-                                 scale=design._core.norms[w:])
+        linalg._check_r_diagonal(design.r[w:, w:], design.n, scale=design.norms[w:])
     except RankDeficientError:
         raise ZeroVarianceError("the response is a linear function of the group and "
                                 "the covariates; no residual variance is left") from None
@@ -337,7 +319,7 @@ def require_residual(design: PartitionedDesign) -> None:
 def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:
     """Coefficients of determination of the full model and of the reduced
     model that drops the group dummy (intercept plus covariates only)."""
-    diff, r = design._core.diff, design._core.r
+    diff, r = design.diff, design.r
     w = design.w
     between = np.sqrt(design.n1 * design.n2 / design.n) * diff
     r0 = np.linalg.qr(np.vstack([r, between]), mode="r")
@@ -358,7 +340,7 @@ def standard_errors(design: PartitionedDesign, fit: PartitionedFit) -> np.ndarra
     and the diagonal of S^-1, the squared row norms of R_xx^-1, for the
     covariates.
     """
-    mean1, r = design._core.means[0], design._core.r
+    mean1, r = design.means[0], design.r
     w = design.w
     rinv = np.linalg.inv(r[:w, :w])
     a = mean1[:w] @ rinv  # R_xx^-T xbar1

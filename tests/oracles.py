@@ -62,10 +62,16 @@ def sigma2_hat(design, delta2_hat) -> float:
     return (ss1 + ss2) / design.df
 
 
+def group_block(design) -> np.ndarray:
+    """X1 of the design: the intercept and the group dummy, [1 | dummy],
+    with group 1's n1 rows first (dummy 0) and group 2's n2 rows last."""
+    return np.column_stack([np.ones(design.n), np.r_[np.zeros(design.n1), np.ones(design.n2)]])
+
+
 def delta1_from_adjusted(design, y_star) -> np.ndarray:
     """Recover (intercept, group coefficient) by regressing the adjusted
     response on X1 alone; equals the full-design estimates."""
-    return linalg.qr_least_squares(design.x1, y_star)
+    return linalg.qr_least_squares(group_block(design), y_star)
 
 
 def annihilator_group(design) -> np.ndarray:
@@ -75,7 +81,7 @@ def annihilator_group(design) -> np.ndarray:
     diagonal with blocks I - ones/n_j when rows are group-sorted.
     """
     n = design.n
-    return np.eye(n) - linalg.projector(design.x1)
+    return np.eye(n) - linalg.projector(group_block(design))
 
 
 def annihilator_covariates(design) -> np.ndarray:
@@ -94,7 +100,8 @@ def delta1_scaled_covariance(design) -> np.ndarray:
     Var(beta1_hat) = sigma^2 * gamma.
     """
     m2 = annihilator_covariates(design)
-    s = design.x1.T @ m2 @ design.x1
+    x1 = group_block(design)
+    s = x1.T @ m2 @ x1
     s = (s + s.T) / 2.0  # symmetrize away rounding
     return sym_inverse_2x2(s)
 
@@ -146,7 +153,7 @@ def standard_errors_qr(design, fit) -> np.ndarray:
     """Standard errors of all 2 + w coefficients from the full n-row design:
     sigma times the square roots of the diagonal of (X'X)^-1, read off the
     inverse of its R factor."""
-    x = np.hstack([design.x1, design.x2])
+    x = np.hstack([group_block(design), design.x2])
     r = np.linalg.qr(x, mode="r")
     rinv = np.linalg.inv(r)
     diag = np.sum(rinv**2, axis=1)  # diagonal of (X'X)^-1

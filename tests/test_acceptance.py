@@ -37,6 +37,7 @@ from oracles import (
     annihilator_group,
     delta1_from_adjusted,
     delta1_scaled_covariance,
+    group_block,
     group_summaries,
     residual_quadratic_matrix,
     sigma2_hat,
@@ -174,7 +175,7 @@ def test_variance_estimator_algebra_and_unbiasedness():
         assert round(np.trace(ell)) == design.df
         assert abs(np.trace(ell) - design.df) < 1e-8
         assert np.max(np.abs(ell @ ell - ell)) < 1e-9
-        assert np.max(np.abs(ell @ design.x1)) < 1e-8
+        assert np.max(np.abs(ell @ group_block(design))) < 1e-8
         if design.w:
             assert np.max(np.abs(ell @ design.x2)) < 1e-8
 
@@ -187,7 +188,7 @@ def test_variance_estimator_algebra_and_unbiasedness():
         group_labels=tuple("a" if i < n1 else "b" for i in range(n)),
         covariates=(("x1", x2[:, 0]), ("x2", x2[:, 1])),
     ))
-    x = np.hstack([base.x1, base.x2])
+    x = np.hstack([group_block(base), base.x2])
     truth = np.array([1.0, 0.7, -0.4, 1.2])
     sigma = 2.0
     draws = np.empty(10_000)
@@ -214,7 +215,7 @@ def test_null_rejection_rate_is_calibrated():
         group_labels=tuple("a" if i < n1 else "b" for i in range(n)),
         covariates=(("x1", x2[:, 0]), ("x2", x2[:, 1])),
     ))
-    x = np.hstack([base.x1, base.x2])
+    x = np.hstack([group_block(base), base.x2])
     gamma = float(delta1_scaled_covariance(base)[1, 1])
     covariate_effect = np.array([0.5, -1.0])  # group coefficient is zero
     intercept = 2.0

@@ -166,11 +166,13 @@ class TestEffectCommand:
     def test_response_linear_in_group_and_covariates_exits_3(self, capsys, command,
                                                                covariates):
         # the residual is rounding noise, not an exact zero: |R_ww| is about
-        # 3e-14 against a rank-check tolerance of 1.4e-11
-        code, out, err = run(capsys, command, *student_args(*covariates),
-                             "--format", "json")
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ZeroVarianceError:")
+        # 3e-14 against a rank-check tolerance of 1.4e-11; both output
+        # formats run the same check before anything is printed
+        for output_format in ("json", "text"):
+            code, out, err = run(capsys, command, *student_args(*covariates),
+                                 "--format", output_format)
+            assert (code, out) == (3, ""), output_format
+            assert err.startswith("error: ZeroVarianceError:"), output_format
 
     def test_precision_controls_text_digits(self, capsys):
         code, out, _ = run(capsys, "effect", *student_args(), "--precision", "3")

@@ -32,6 +32,7 @@ from oracles import (
     annihilator_group,
     delta1_from_adjusted,
     delta1_scaled_covariance,
+    group_block,
     residual_quadratic_matrix,
     sigma2_hat,
     standard_errors_qr,
@@ -48,7 +49,7 @@ class TestBuildDesign:
         d = build_design(small_dataset())
         assert d.group_labels == ("A", "B")
         assert d.n1 == 2 and d.n2 == 2
-        np.testing.assert_array_equal(d.x1[:, 1], [0.0, 0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(group_block(d)[:, 1], [0.0, 0.0, 1.0, 1.0])
         # stable within groups: A rows were at positions 1, 2; B rows at 0, 3
         np.testing.assert_array_equal(d.row_order, [1, 2, 0, 3])
         np.testing.assert_allclose(d.y, [1.0, 2.0, 4.0, 3.0])
@@ -108,7 +109,7 @@ class TestFits:
         for _ in range(20):
             design = make_design(rng, n=10, w=2)
             fit = fit_monolithic(design)
-            x = np.hstack([design.x1, design.x2])
+            x = np.hstack([group_block(design), design.x2])
             expected = cramer_least_squares(x, design.y)
             got = np.concatenate([fit.delta1_hat, fit.delta2_hat])
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
@@ -180,7 +181,7 @@ class TestFits:
             y = design.y
             centered = y - y.mean()
             reduced = np.hstack([np.ones((design.n, 1)), design.x2])
-            for x, got in ((np.hstack([design.x1, design.x2]), fit.r_squared),
+            for x, got in ((np.hstack([group_block(design), design.x2]), fit.r_squared),
                            (reduced, fit.r0_squared)):
                 resid = y - linalg.projector(x) @ y
                 assert got == pytest.approx(
@@ -273,20 +274,13 @@ class TestSigma2:
 
     def test_nonpositive_df_raises(self):
         # build_design rejects n <= 2 + w up front, so exercise the guard on
-        # a hand-assembled design
-        from groupeffect.regression import PartitionedDesign
-
+        # a built design given one covariate column too many
         rng = np.random.default_rng(0)
-        design = PartitionedDesign(
-            y=rng.standard_normal(5),
-            x1=np.column_stack([np.ones(5), np.r_[np.zeros(2), np.ones(3)]]),
-            x2=rng.standard_normal((5, 3)),
-            n1=2,
-            n2=3,
-            row_order=np.arange(5),
-            group_labels=("a", "b"),
-            covariate_names=("x1", "x2", "x3"),
-        )
+        built = build_design(small_dataset(
+            labels=("a", "a", "b", "b", "b"), y=rng.standard_normal(5),
+            covs=(("x1", rng.standard_normal(5)), ("x2", rng.standard_normal(5)))))
+        design = replace(built, x2=rng.standard_normal((5, 3)))
+        assert (design.n, design.w, design.df) == (5, 3, 0)
         with pytest.raises(NonPositiveDfError):
             sigma2_hat(design, np.zeros(3))
 
@@ -315,7 +309,7 @@ class TestAnnihilatorsAndL:
             n, w = design.n, design.w
             assert np.trace(ell) == pytest.approx(n - 2 - w, abs=1e-8)
             assert np.max(np.abs(ell @ ell - ell)) < 1e-9
-            assert np.max(np.abs(ell @ design.x1)) < 1e-8
+            assert np.max(np.abs(ell @ group_block(design))) < 1e-8
             if w:
                 assert np.max(np.abs(ell @ design.x2)) < 1e-8
 
@@ -402,7 +396,7 @@ class TestGroupSummariesAndR2:
         rng = np.random.default_rng(116)
         design = make_design(rng, n=30, w=2)
         y = design.y
-        x = np.hstack([design.x1, design.x2])
+        x = np.hstack([group_block(design), design.x2])
         p = x @ np.linalg.inv(x.T @ x) @ x.T
         c = np.eye(design.n) - np.full((design.n, design.n), 1.0 / design.n)
         expected_r2 = 1.0 - (y @ (np.eye(design.n) - p) @ y) / (y @ c @ y)
@@ -441,3 +435,27 @@ class TestLinearMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64e3, f"peak {peak / 1e3:.1f} KB"
+
+    def test_design_holds_one_copy_of_its_columns(self):
+        # build_design reads the selected columns once, into one
+        # group-ordered (n, w+1) [X2 | y] block that y and x2 view; all it
+        # keeps besides is row_order and O(w^2) factors. While it factors a
+        # group it also holds that group's shifted copy and np.linalg.qr's
+        # own copy of it, so its peak is the block, row_order and two copies
+        # of the larger group, plus one n-row column of slack (the finiteness
+        # check's mask and take's buffer). That is 22.3 MB here; a second
+        # full [X2 | y] copy or an n x 2 [1 | dummy] would exceed it.
+        ds = make_dataset(np.random.default_rng(120), n=100_000, w=10)
+        n, w = ds.n_rows, ds.n_covariates
+        n_larger = max(map(ds.group_labels.count, set(ds.group_labels)))
+        block, column = 8 * n * (w + 1), 8 * n
+        tracemalloc.start()
+        try:
+            design = build_design(ds)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < block + column + 64e3, f"kept {kept / 1e6:.2f} MB"
+        bound = block + column + 2 * 8 * n_larger * (w + 1) + column
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+        assert design.y.base is design.x2.base is not None
