@@ -4,8 +4,8 @@ Workflow: load a delimited file into a :class:`Dataset`, build the
 group-sorted :class:`PartitionedDesign`, fit it with :func:`fit_fwl`, and
 summarize with :func:`effect_report`. :func:`build_design` reads the n
 rows once; the design holds the group counts, each group's means and
-triangular factor R_j, their pooled factor R and the column norms, and the
-fit, the report and the standard errors read only those.
+factor R_j, their pooled factor R and the column norms, and the fit, the
+report and the standard errors read only those.
 :func:`fit_monolithic` solves the full design instead and is kept as a
 cross-check.
 """

@@ -9,8 +9,8 @@ holds the covariate columns. The same fit is available two ways:
   group-centered covariates, then read the group block off the group means).
 
 Centering within groups is the annihilator M1 of X1, so the partialled-out
-fit needs only, per group, its count, its means of [X2 | y] and R_j, the
-triangular factor of its centered [X2 | y]. :func:`build_design` computes
+fit needs only, per group, its count, its means of [X2 | y] and a factor
+R_j of its centered [X2 | y]. :func:`build_design` computes
 them and keeps them as fields of the design; after it, only
 :func:`fit_monolithic` reads an n-row array. Stacking R_1 on R_2 and
 re-triangularizing gives R, the (w+1) x (w+1) factor of the group-centered
@@ -30,6 +30,7 @@ and compare the factored summaries with their residual forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -73,9 +74,10 @@ class PartitionedDesign:
     * ``means``: per group, the means of [X2 | y];
     * ``diff``: group-2 minus group-1 means, taken before the first-row
       shift is added back (see :func:`build_design`);
-    * ``factors``: per group, R_j, the triangular factor of its centered
-      [X2 | y], with min(n_j, w+1) rows; R_j' R_j is the group's centered
-      cross-product matrix;
+    * ``factors``: per group, R_j with R_j' R_j the group's centered
+      cross-product matrix: its triangular factor, min(n_j, w+1) rows, or
+      for a group factored in two blocks (see :func:`build_design`) the
+      blocks' factors stacked on their mean-difference row, 2w+3 rows;
     * ``r``: the (w+1) x (w+1) factor of R_1 stacked on R_2. Its leading
       w x w block factors X2' M1 X2, its last column above the diagonal
       carries X2' M1 y, and r[w, w]^2 is the residual sum of squares of the
@@ -173,14 +175,16 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
 
     The selected columns are read once, into [X2 | y] in design row order.
     Each group's rows are copied, shifted by the first row, centered and
-    factored on their own. The first row is subtracted before the group
-    means and added back to the means kept: that subtraction is exact for
-    a column far from zero, so the mean differences, and the rank check
-    that reads r, keep the digits a large common offset would otherwise
-    round away. The group means still round at the scale of the shifted
-    columns, so the rank check measures r against ``norms``, not against r
-    itself: a covariate that is constant within each group leaves a residue
-    of that rounding, which r alone would take for a full-rank column.
+    factored on their own; a group of over max(n/2, 128) rows in two blocks,
+    then merged, so the copies stay within that many rows whatever the split.
+    The first row is subtracted before the group means and added back to
+    the means kept: that subtraction is exact for a column far from zero,
+    so the mean differences, and the rank check that reads r, keep the
+    digits a large common offset would otherwise round away. The group
+    means still round at the scale of the shifted columns, so the rank
+    check measures r against ``norms``, not against r itself: a covariate
+    that is constant within each group leaves a residue of that rounding,
+    which r alone would take for a full-rank column.
     """
     labels = sorted(set(ds.group_labels))
     if reference_level is not None:
@@ -209,16 +213,14 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     for j, (name, col) in enumerate((*ds.covariates, ("response", ds.response))):
         np.take(linalg.as_vector(col, name), order, out=data[:, j])
     pivot = data[0].copy()
-    sumsq, means, factors = 0.0, [], []
-    for rows in (data[:n1], data[n1:]):
-        group = rows - pivot
-        sumsq = sumsq + np.einsum("ij,ij->j", group, group)
-        mean = group.mean(axis=0)
-        group -= mean
-        means.append(mean)
-        factors.append(np.linalg.qr(group, mode="r"))
-    r = np.linalg.qr(np.vstack(factors), mode="r")
-    norms = np.sqrt(sumsq)
+    size = max((n + 1) // 2, _MIN_BLOCK_ROWS)
+    parts = [reduce(_merge, (_centered_factor(rows[i:i + size], pivot)
+                             for i in range(0, len(rows), size)))
+             for rows in (data[:n1], data[n1:])]
+    (_, mean1, f1), (_, mean2, f2) = parts
+    r = np.linalg.qr(np.vstack([f1, f2]), mode="r")
+    # a shifted column's sum of squares is its centered part plus n_j mean_j^2
+    norms = np.sqrt(sum(np.einsum("ij,ij->j", f, f) + c * m**2 for c, m, f in parts))
     names = tuple(name for name, _ in ds.covariates)
     try:
         linalg._check_r_diagonal(r[:w, :w], n, scale=norms[:w])
@@ -227,9 +229,31 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     return PartitionedDesign(
         y=data[:, w], x2=data[:, :w], n1=n1, n2=n2, row_order=order,
         group_labels=(g1, g2), covariate_names=names,
-        means=(means[0] + pivot, means[1] + pivot), diff=means[1] - means[0],
-        factors=tuple(factors), r=r, norms=norms,
+        means=(mean1 + pivot, mean2 + pivot), diff=mean2 - mean1,
+        factors=(f1, f2), r=r, norms=norms,
     )
+
+
+# build_design's blocks are at most half of n rows but never under this size,
+# below which np.linalg.qr's cost per call outweighs the copies it saves
+_MIN_BLOCK_ROWS = 128
+
+
+def _centered_factor(rows, pivot):
+    """Count, mean and triangular factor of ``rows - pivot`` once centered."""
+    block = rows - pivot
+    mean = block.sum(axis=0) / len(block)
+    block -= mean
+    return len(block), mean, np.linalg.qr(block, mode="r")
+
+
+def _merge(a, b):
+    """Pairwise update (Chan, Golub & LeVeque) of two (count, mean, factor)
+    parts: the union's centered cross-product is the parts' plus
+    n_a n_b / n (m_b - m_a)(m_b - m_a)'."""
+    (na, ma, fa), (nb, mb, fb) = a, b
+    n, step = na + nb, mb - ma
+    return n, ma + nb / n * step, np.vstack([fa, fb, (na * nb / n) ** 0.5 * step])
 
 
 def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:

@@ -2,7 +2,7 @@
 algebra.
 
 The library never builds these: its fit, report and standard errors work
-from per-group means and small triangular factors. The tests build them here
+from per-group means and small factors. The tests build them here
 on purpose, straight from the textbook formulas, so that the factored
 computation is checked against an independent route.
 """
