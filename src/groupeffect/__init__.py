@@ -1,13 +1,12 @@
 """Covariate-adjusted standardized effect sizes for two-group comparisons.
 
-Workflow: load a delimited file into a :class:`Dataset`, build the
-group-sorted :class:`PartitionedDesign`, fit it with :func:`fit_fwl`, and
-summarize with :func:`effect_report`. :func:`build_design` reads the n
-rows once; the design holds the group counts, each group's means and
-factor R_j, their pooled factor R and the column norms, and the fit, the
-report and the standard errors read only those.
-:func:`fit_monolithic` solves the full design instead and is kept as a
-cross-check.
+Workflow: load a delimited file into a :class:`Dataset`, build its
+:class:`PartitionedDesign`, fit it with :func:`fit_fwl`, and summarize with
+:func:`effect_report`. :func:`build_design` reads the n rows once; the
+design holds only the group counts, each group's means and factor R_j,
+their pooled factor R and the column norms, and the fit, the report and
+the standard errors read only those. :func:`fit_monolithic` solves the
+full design of a dataset instead and is kept as a cross-check.
 """
 
 from .dataio import Dataset, histogram, load_column, load_csv

@@ -79,9 +79,12 @@ def _covariates_arg(text: str) -> tuple[str, ...]:
 
 def _edges_arg(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(c) for c in text.split(",") if c.strip())
+        edges = tuple(float(c) for c in text.split(",") if c.strip())
+        if all(map(math.isfinite, edges)):
+            return edges
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse bin edges from {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"cannot parse finite bin edges from {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,10 +24,6 @@ class DimensionMismatchError(NumericError):
     pass
 
 
-class NonSquareError(NumericError):
-    pass
-
-
 class RankDeficientError(NumericError):
     """A matrix expected to have full column rank does not.
 
@@ -38,10 +34,6 @@ class RankDeficientError(NumericError):
     def __init__(self, column, message=None):
         self.column = column
         super().__init__(message or f"rank deficient at column {column!r}")
-
-
-class NotPositiveDefiniteError(NumericError):
-    pass
 
 
 class NonConvergenceError(NumericError):

@@ -1,20 +1,20 @@
 """Partitioned linear regression for a two-group comparison with covariates.
 
 The model is ``y = X1 d1 + X2 d2 + e`` where X1 holds the intercept and the
-group dummy (group 1 rows first, dummy 0; group 2 rows last, dummy 1) and X2
-holds the covariate columns. The same fit is available two ways:
+group dummy (0 for group 1, 1 for group 2) and X2 holds the covariate
+columns. The same fit is available two ways:
 
-* :func:`fit_monolithic` solves the full design in one least-squares pass;
+* :func:`fit_monolithic` solves the full design of a dataset in one
+  least-squares pass;
 * :func:`fit_fwl` partials the covariates out first (regress y on the
   group-centered covariates, then read the group block off the group means).
 
 Centering within groups is the annihilator M1 of X1, so the partialled-out
 fit needs only, per group, its count, its means of [X2 | y] and a factor
-R_j of its centered [X2 | y]. :func:`build_design` computes
-them and keeps them as fields of the design; after it, only
-:func:`fit_monolithic` reads an n-row array. Stacking R_1 on R_2 and
-re-triangularizing gives R, the (w+1) x (w+1) factor of the group-centered
-[X2 | y]. From R follow the rank check of the design, the covariate
+R_j of its centered [X2 | y]. :func:`build_design` computes them and keeps
+them as the fields of the design, which holds no n-row array. Stacking R_1
+on R_2 and re-triangularizing gives R, the (w+1) x (w+1) factor of the
+group-centered [X2 | y]. From R follow the rank check of the design, the covariate
 coefficients, sigma^2, gamma, both R^2 values and every standard error;
 from the R_j each group's summaries on the raw and the adjusted scale. Cost
 and memory are linear in n and no n x n matrix is formed. Stacking R on
@@ -63,13 +63,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartitionedDesign:
-    """Group-sorted design for the partitioned model, with its group factors.
+    """Group statistics of the partitioned model: all that the fit, the
+    report and the standard errors read, O(w^2) in size whatever n is.
 
-    Rows 0..n1-1 belong to group 1 (dummy 0), the rest to group 2 (dummy 1).
-    ``row_order[i]`` is the index of design row i in the original dataset.
-    ``x2`` and ``y`` are views of one group-ordered [X2 | y] array.
-    :func:`build_design` fills in the rest, which is all that the fit, the
-    report and the standard errors read:
+    Group 1 has ``n1`` rows (dummy 0), group 2 ``n2`` rows (dummy 1).
+    :func:`build_design` fills in the rest:
 
     * ``means``: per group, the means of [X2 | y];
     * ``diff``: group-2 minus group-1 means, taken before the first-row
@@ -82,15 +80,12 @@ class PartitionedDesign:
       w x w block factors X2' M1 X2, its last column above the diagonal
       carries X2' M1 y, and r[w, w]^2 is the residual sum of squares of the
       full model;
-    * ``norms``: the column norms of [X2 | y] less its first row, the scale
-      of the rank check.
+    * ``norms``: the column norms of [X2 | y] less group 1's first row, the
+      scale of the rank check.
     """
 
-    y: np.ndarray
-    x2: np.ndarray
     n1: int
     n2: int
-    row_order: np.ndarray
     group_labels: tuple[str, str]
     covariate_names: tuple[str, ...]
     means: tuple[np.ndarray, np.ndarray]
@@ -105,7 +100,7 @@ class PartitionedDesign:
 
     @property
     def w(self) -> int:
-        return self.x2.shape[1]
+        return len(self.covariate_names)
 
     @property
     def df(self) -> int:
@@ -162,9 +157,7 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     """Sort a dataset into the partitioned design.
 
     Group labels map to groups by ascending lexicographic order unless
-    ``reference_level`` forces one label to be group 1. Rows keep their
-    within-group order; the permutation back to original row indices is
-    recorded on the design.
+    ``reference_level`` forces one label to be group 1.
 
     Raises GroupTooSmallError if either group has fewer than 2 rows,
     InsufficientRowsError if n <= 2 + w, and RankDeficientDesignError
@@ -173,18 +166,19 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     has full rank exactly when the group-centered covariates have; the
     check reads the diagonal of their R factor.
 
-    The selected columns are read once, into [X2 | y] in design row order.
-    Each group's rows are copied, shifted by the first row, centered and
-    factored on their own; a group of over max(n/2, 128) rows in two blocks,
-    then merged, so the copies stay within that many rows whatever the split.
-    The first row is subtracted before the group means and added back to
-    the means kept: that subtraction is exact for a column far from zero,
-    so the mean differences, and the rank check that reads r, keep the
-    digits a large common offset would otherwise round away. The group
-    means still round at the scale of the shifted columns, so the rank
-    check measures r against ``norms``, not against r itself: a covariate
-    that is constant within each group leaves a residue of that rounding,
-    which r alone would take for a full-rank column.
+    The selected columns are read once, into a local [X2 | y] with group 1's
+    rows first, each group's in file order; the design keeps none of its
+    rows. Each group's rows are shifted by the first row, centered and
+    factored in place; a group of over max(n/2, 128) rows in two blocks,
+    then merged, so the factorization's copy stays within that many rows
+    whatever the split. The first row is subtracted before the group means
+    and added back to the means kept: that subtraction is exact for a
+    column far from zero, so the mean differences, and the rank check that
+    reads r, keep the digits a large common offset would otherwise round
+    away. The group means still round at the scale of the shifted columns,
+    so the rank check measures r against ``norms``, not against r itself: a
+    covariate that is constant within each group leaves a residue of that
+    rounding, which r alone would take for a full-rank column.
     """
     labels = sorted(set(ds.group_labels))
     if reference_level is not None:
@@ -227,8 +221,7 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     except RankDeficientError as exc:
         raise RankDeficientDesignError(names[exc.column]) from None
     return PartitionedDesign(
-        y=data[:, w], x2=data[:, :w], n1=n1, n2=n2, row_order=order,
-        group_labels=(g1, g2), covariate_names=names,
+        n1=n1, n2=n2, group_labels=(g1, g2), covariate_names=names,
         means=(mean1 + pivot, mean2 + pivot), diff=mean2 - mean1,
         factors=(f1, f2), r=r, norms=norms,
     )
@@ -240,11 +233,12 @@ _MIN_BLOCK_ROWS = 128
 
 
 def _centered_factor(rows, pivot):
-    """Count, mean and triangular factor of ``rows - pivot`` once centered."""
-    block = rows - pivot
-    mean = block.sum(axis=0) / len(block)
-    block -= mean
-    return len(block), mean, np.linalg.qr(block, mode="r")
+    """Count, mean and triangular factor of ``rows - pivot`` once centered;
+    overwrites ``rows`` with its centered values."""
+    rows -= pivot
+    mean = rows.sum(axis=0) / len(rows)
+    rows -= mean
+    return len(rows), mean, np.linalg.qr(rows, mode="r")
 
 
 def _merge(a, b):
@@ -256,12 +250,15 @@ def _merge(a, b):
     return n, ma + nb / n * step, np.vstack([fa, fb, (na * nb / n) ** 0.5 * step])
 
 
-def fit_monolithic(design: PartitionedDesign) -> PartitionedFit:
-    """Fit by solving the full design [1 | dummy | X2] in a single pass."""
-    x = np.ones((design.n, 2 + design.w))
-    x[: design.n1, 1] = 0.0
-    x[:, 2:] = design.x2
-    coef = linalg.qr_least_squares(x, design.y)
+def fit_monolithic(ds: Dataset, reference_level: str | None = None) -> PartitionedFit:
+    """Fit by solving the full design [1 | dummy | X2] of ``ds``, rows in
+    file order, in a single pass for the coefficients. The group mapping,
+    the rank check, sigma^2, gamma and R^2 come from
+    ``build_design(ds, reference_level)``."""
+    design = build_design(ds, reference_level)
+    dummy = [label == design.group_labels[1] for label in ds.group_labels]
+    x = np.column_stack([np.ones(ds.n_rows), dummy, *(col for _, col in ds.covariates)])
+    coef = linalg.qr_least_squares(x, ds.response)
     return _finish_fit(design, coef[:2], coef[2:])
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupeffect import Dataset, build_design
+from groupeffect import Dataset, build_design, fit_fwl, fit_monolithic
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -54,6 +54,21 @@ def make_dataset(rng, n=None, w=None, noise=1.0, beta1=1.0, shuffle=True):
 
 def make_design(rng, n=None, w=None, noise=1.0, beta1=1.0):
     return build_design(make_dataset(rng, n=n, w=w, noise=noise, beta1=beta1))
+
+
+def make_case(rng, n=None, w=None):
+    """A random dataset (as ``make_dataset``) and its design."""
+    ds = make_dataset(rng, n=n, w=w)
+    return ds, build_design(ds)
+
+
+def fwl(ds, reference_level=None):
+    """``fit_fwl`` called as ``fit_monolithic`` is: on a dataset."""
+    return fit_fwl(build_design(ds, reference_level))
+
+
+# both fit routes, each called as fitter(ds, reference_level=None)
+FITTERS = [pytest.param(fwl, id="fit_fwl"), fit_monolithic]
 
 
 # --- independent oracles ---

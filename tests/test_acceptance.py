@@ -32,11 +32,12 @@ from groupeffect import (
 )
 from groupeffect.linalg import qr_least_squares
 
-from conftest import make_design, student_csv_path
+from conftest import make_case, make_design, student_csv_path
 from oracles import (
     annihilator_group,
     delta1_from_adjusted,
     delta1_scaled_covariance,
+    design_rows,
     group_block,
     group_summaries,
     residual_quadratic_matrix,
@@ -90,7 +91,7 @@ def test_student_classic_analysis_reproduces_reference_values():
     assert (design.n1, design.n2) == (REF["n1"], REF["n2"])
     # the report's summaries and their residual form over the n rows
     for g1, g2 in (report.groups,
-                   group_summaries(design, design.y - design.x2 @ fit.delta2_hat)):
+                   group_summaries(ds, design, fit.delta2_hat)):
         relclose(g1.mean_raw, REF["mean_group1"])
         relclose(g2.mean_raw, REF["mean_group2"])
     relclose(report.t, REF["t_classic"])
@@ -106,7 +107,7 @@ def test_student_adjusted_analysis_reproduces_reference_values():
     ds = load_csv(student_csv_path(), response_col="G3", group_col="sex",
                   covariate_cols=["Fedu", "traveltime"])
     design = build_design(ds)
-    fit = fit_monolithic(design)
+    fit = fit_monolithic(ds)
     report = effect_report(design, fit)
     elapsed = time.perf_counter() - start
 
@@ -128,7 +129,7 @@ def test_student_adjusted_analysis_reproduces_reference_values():
     relclose(fit.r_squared, REF["r_squared"])
     relclose(fit.r0_squared, REF["r0_squared"])
     relclose(report.f_squared, REF["f_squared"])
-    cov = delta1_scaled_covariance(design)
+    cov = delta1_scaled_covariance(ds, design)
     relclose(cov[1, 1], REF["gamma"])
     relclose(cov[0, 1], REF["gamma_offdiag"])
     relclose(cov[0, 0], REF["gamma_topleft"])
@@ -142,15 +143,16 @@ def test_partialled_and_monolithic_fits_agree_on_random_designs():
     back-substitution recovery give the same coefficients to 1e-9."""
     rng = np.random.default_rng(3003)
     for _ in range(200):
-        design = make_design(rng, n=int(rng.integers(10, 201)),
-                             w=int(rng.integers(0, 6)))
+        ds, design = make_case(rng, n=int(rng.integers(10, 201)),
+                               w=int(rng.integers(0, 6)))
         fwl = fit_fwl(design)
-        mono = fit_monolithic(design)
+        mono = fit_monolithic(ds)
         c_fwl = np.concatenate([fwl.delta1_hat, fwl.delta2_hat])
         c_mono = np.concatenate([mono.delta1_hat, mono.delta2_hat])
         np.testing.assert_allclose(c_fwl, c_mono, rtol=1e-9, atol=1e-12)
         # recovering the first block from the monolithic covariate estimates
-        y_star = design.y - design.x2 @ mono.delta2_hat
+        x2, y = design_rows(ds, design)
+        y_star = y - x2 @ mono.delta2_hat
         back = delta1_from_adjusted(design, y_star)
         np.testing.assert_allclose(back, mono.delta1_hat, rtol=1e-9, atol=1e-12)
 
@@ -163,40 +165,42 @@ def test_variance_estimator_algebra_and_unbiasedness():
     start = time.perf_counter()
     rng = np.random.default_rng(4004)
     for _ in range(100):
-        design = make_design(rng, n=int(rng.integers(10, 80)))
-        fit = fit_monolithic(design)
+        ds, design = make_case(rng, n=int(rng.integers(10, 80)))
+        fit = fit_monolithic(ds)
         m1 = annihilator_group(design)
-        r = design.y - design.x2 @ fit.delta2_hat
+        x2, y = design_rows(ds, design)
+        r = y - x2 @ fit.delta2_hat
         quadratic_form = (r @ m1 @ r) / design.df  # explicit projector route
-        pooled = sigma2_hat(design, fit.delta2_hat)  # pooled adjusted-SS route
+        pooled = sigma2_hat(ds, design, fit.delta2_hat)  # pooled adjusted-SS route
         assert pooled == pytest.approx(quadratic_form, rel=1e-10)
 
-        ell = residual_quadratic_matrix(design)
+        ell = residual_quadratic_matrix(ds, design)
         assert round(np.trace(ell)) == design.df
         assert abs(np.trace(ell) - design.df) < 1e-8
         assert np.max(np.abs(ell @ ell - ell)) < 1e-9
         assert np.max(np.abs(ell @ group_block(design))) < 1e-8
         if design.w:
-            assert np.max(np.abs(ell @ design.x2)) < 1e-8
+            assert np.max(np.abs(ell @ x2)) < 1e-8
 
-    # (b) unbiasedness at a fixed design
+    # (b) unbiasedness at a fixed design; group a's rows come first in the
+    # file, so file order is design row order
     sim_rng = np.random.default_rng(4104)
     n, w, n1 = 30, 2, 14
     x2 = sim_rng.standard_normal((n, w))
-    base = build_design(Dataset(
+    base_ds = Dataset(
         response=np.zeros(n) + sim_rng.standard_normal(n),
         group_labels=tuple("a" if i < n1 else "b" for i in range(n)),
         covariates=(("x1", x2[:, 0]), ("x2", x2[:, 1])),
-    ))
-    x = np.hstack([group_block(base), base.x2])
+    )
+    base = build_design(base_ds)
+    x = np.hstack([group_block(base), design_rows(base_ds, base)[0]])
     truth = np.array([1.0, 0.7, -0.4, 1.2])
     sigma = 2.0
     draws = np.empty(10_000)
     for i in range(draws.size):
         y = x @ truth + sigma * sim_rng.standard_normal(n)
-        design = replace(base, y=y)
         coef = qr_least_squares(x, y)
-        draws[i] = sigma2_hat(design, coef[2:])
+        draws[i] = sigma2_hat(replace(base_ds, response=y), base, coef[2:])
     assert 3.92 <= draws.mean() <= 4.08, f"mean sigma2_hat = {draws.mean():.4f}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"variance suite took {elapsed:.1f}s"
@@ -210,27 +214,27 @@ def test_null_rejection_rate_is_calibrated():
     rng = np.random.default_rng(5005)
     n, w, n1 = 40, 2, 22
     x2 = rng.standard_normal((n, w))
-    base = build_design(Dataset(
+    base_ds = Dataset(
         response=rng.standard_normal(n),
         group_labels=tuple("a" if i < n1 else "b" for i in range(n)),
         covariates=(("x1", x2[:, 0]), ("x2", x2[:, 1])),
-    ))
-    x = np.hstack([group_block(base), base.x2])
-    gamma = float(delta1_scaled_covariance(base)[1, 1])
+    )
+    base = build_design(base_ds)  # file order is design row order
+    x2 = design_rows(base_ds, base)[0]
+    x = np.hstack([group_block(base), x2])
+    gamma = float(delta1_scaled_covariance(base_ds, base)[1, 1])
     covariate_effect = np.array([0.5, -1.0])  # group coefficient is zero
     intercept = 2.0
-    mean = intercept + base.x2 @ covariate_effect
+    mean = intercept + x2 @ covariate_effect
     rejections = 0
     n_sims = 20_000
     for _ in range(n_sims):
         y = mean + rng.standard_normal(n)
-        design = replace(base, y=y)
         coef = qr_least_squares(x, y)
-        y_star = y - design.x2 @ coef[2:]
-        g1, g2 = group_summaries(design, y_star)
+        g1, g2 = group_summaries(replace(base_ds, response=y), base, coef[2:])
         d = cohens_d_adjusted(g1, g2, w)
         t = t_from_d(d, gamma)
-        if t_two_sided_p(t, design.df) < 0.05:
+        if t_two_sided_p(t, base.df) < 0.05:
             rejections += 1
     rate = rejections / n_sims
     assert 0.045 <= rate <= 0.055, f"rejection rate {rate:.4f}"

@@ -349,6 +349,16 @@ class TestHistCommand:
         assert code == 2 and "--edges: expected one argument" in err
         assert "-1,5,10,21" in exits(capsys, ["hist", "--help"])[1]
 
+    @pytest.mark.parametrize("edges", ["-inf,5", "0,inf", "0,1e400"])
+    def test_non_finite_edge_exits_2(self, capsys, edges):
+        # an infinite edge would print as -Infinity, which is not JSON, and
+        # 1e400 would be read as inf although the reader drops such cells
+        argv = ["hist", "--data", str(student_csv_path()), "--response", "G3",
+                "--format", "json", f"--edges={edges}"]
+        code, out, err = exits(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"cannot parse finite bin edges from {edges!r}" in err
+
     def test_default_bins_at_the_cap(self, capsys, tmp_path):
         path = tmp_path / "span.csv"
         path.write_text("y\n0\n9999.5\n", encoding="utf-8")

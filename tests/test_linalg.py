@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from groupeffect import linalg
-from groupeffect.errors import (
-    DimensionMismatchError,
-    NonSquareError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from groupeffect.errors import DimensionMismatchError, RankDeficientError
 
 from conftest import cramer_least_squares
-from oracles import sym_inverse_2x2, sym_inverse_2x2_lower_right, trace
+from oracles import (
+    NonSquareError,
+    NotPositiveDefiniteError,
+    sym_inverse_2x2,
+    sym_inverse_2x2_lower_right,
+    trace,
+)
 
 
 class TestQrLeastSquares:

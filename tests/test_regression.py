@@ -26,12 +26,13 @@ from groupeffect.errors import (
 )
 from groupeffect.regression import coefficient_names
 
-from conftest import cramer_least_squares, make_dataset, make_design
+from conftest import FITTERS, cramer_least_squares, make_case, make_dataset, make_design
 from oracles import (
     annihilator_covariates,
     annihilator_group,
     delta1_from_adjusted,
     delta1_scaled_covariance,
+    design_rows,
     group_block,
     residual_quadratic_matrix,
     sigma2_hat,
@@ -53,13 +54,14 @@ def with_split(ds, n1):
 
 class TestBuildDesign:
     def test_sorts_groups_lexicographically(self):
-        d = build_design(small_dataset())
+        ds = small_dataset()
+        d = build_design(ds)
         assert d.group_labels == ("A", "B")
         assert d.n1 == 2 and d.n2 == 2
         np.testing.assert_array_equal(group_block(d)[:, 1], [0.0, 0.0, 1.0, 1.0])
         # stable within groups: A rows were at positions 1, 2; B rows at 0, 3
-        np.testing.assert_array_equal(d.row_order, [1, 2, 0, 3])
-        np.testing.assert_allclose(d.y, [1.0, 2.0, 4.0, 3.0])
+        np.testing.assert_allclose(design_rows(ds, d)[1], [1.0, 2.0, 4.0, 3.0])
+        assert (d.means[0][0], d.means[1][0]) == (1.5, 3.5)
 
     def test_large_group_factored_in_two_blocks(self):
         # n = 600: groups of more than 300 rows are factored as two blocks
@@ -68,7 +70,7 @@ class TestBuildDesign:
         ds = with_split(make_dataset(np.random.default_rng(121), n=600, w=3), 130)
         d = build_design(ds)
         assert [f.shape[0] for f in d.factors] == [d.w + 1, 2 * d.w + 3]
-        data = np.column_stack([d.x2, d.y])
+        data = np.column_stack(design_rows(ds, d))
         for rows, mean, factor in zip((data[:d.n1], data[d.n1:]), d.means, d.factors):
             centered = rows - rows.mean(axis=0)
             np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-13)
@@ -76,13 +78,14 @@ class TestBuildDesign:
                                        rtol=1e-12, atol=1e-12 * len(rows))
         np.testing.assert_allclose(
             np.concatenate([fit_fwl(d).delta1_hat, fit_fwl(d).delta2_hat]),
-            np.concatenate([fit_monolithic(d).delta1_hat, fit_monolithic(d).delta2_hat]),
+            np.concatenate([fit_monolithic(ds).delta1_hat, fit_monolithic(ds).delta2_hat]),
             rtol=1e-9, atol=1e-12)
 
     def test_reference_level_override(self):
-        d = build_design(small_dataset(), reference_level="B")
+        ds = small_dataset()
+        d = build_design(ds, reference_level="B")
         assert d.group_labels == ("B", "A")
-        np.testing.assert_allclose(d.y, [4.0, 3.0, 1.0, 2.0])
+        np.testing.assert_allclose(design_rows(ds, d)[1], [4.0, 3.0, 1.0, 2.0])
 
     def test_unknown_reference_level(self):
         with pytest.raises(GroupTooSmallError):
@@ -123,7 +126,7 @@ class TestFits:
     def test_exact_fit_two_group_means(self):
         ds = Dataset(response=np.array([1.0, 1.0, 3.0, 3.0]),
                      group_labels=("1", "1", "2", "2"))
-        fit = fit_monolithic(build_design(ds))
+        fit = fit_monolithic(ds)
         assert fit.beta0 == pytest.approx(1.0, abs=1e-12)
         assert fit.beta1 == pytest.approx(2.0, abs=1e-12)
         assert fit.sigma2_hat == pytest.approx(0.0, abs=1e-24)
@@ -132,41 +135,54 @@ class TestFits:
     def test_monolithic_matches_cramer_oracle(self):
         rng = np.random.default_rng(100)
         for _ in range(20):
-            design = make_design(rng, n=10, w=2)
-            fit = fit_monolithic(design)
-            x = np.hstack([group_block(design), design.x2])
-            expected = cramer_least_squares(x, design.y)
+            ds, design = make_case(rng, n=10, w=2)
+            fit = fit_monolithic(ds)
+            x2, y = design_rows(ds, design)
+            x = np.hstack([group_block(design), x2])
+            expected = cramer_least_squares(x, y)
             got = np.concatenate([fit.delta1_hat, fit.delta2_hat])
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
     def test_fwl_equals_monolithic(self):
         rng = np.random.default_rng(101)
         for _ in range(30):
-            design = make_design(rng)
+            ds, design = make_case(rng)
             a = fit_fwl(design)
-            b = fit_monolithic(design)
+            b = fit_monolithic(ds)
             ca = np.concatenate([a.delta1_hat, a.delta2_hat])
             cb = np.concatenate([b.delta1_hat, b.delta2_hat])
             np.testing.assert_allclose(ca, cb, rtol=1e-9, atol=1e-12)
             assert a.sigma2_hat == pytest.approx(b.sigma2_hat, rel=1e-9)
             # both fitters read sigma^2 off R; tie it to the monolithic residual
-            assert a.sigma2_hat == pytest.approx(sigma2_hat(design, b.delta2_hat), rel=1e-9)
+            assert a.sigma2_hat == pytest.approx(sigma2_hat(ds, design, b.delta2_hat), rel=1e-9)
+
+    def test_monolithic_takes_the_reference_level(self):
+        ds = make_dataset(np.random.default_rng(123), n=50, w=2)
+        a = fit_fwl(build_design(ds, "b"))
+        b = fit_monolithic(ds, "b")
+        np.testing.assert_allclose(np.concatenate([a.delta1_hat, a.delta2_hat]),
+                                   np.concatenate([b.delta1_hat, b.delta2_hat]),
+                                   rtol=1e-9, atol=1e-12)
+        assert a.sigma2_hat == pytest.approx(b.sigma2_hat, rel=1e-9)
+        assert b.beta1 == pytest.approx(-fit_monolithic(ds).beta1, rel=1e-9)
 
     def test_back_substitution_recovers_group_block(self):
         rng = np.random.default_rng(102)
         for _ in range(20):
-            design = make_design(rng, w=3)
-            mono = fit_monolithic(design)
-            y_star = design.y - design.x2 @ mono.delta2_hat
+            ds, design = make_case(rng, w=3)
+            mono = fit_monolithic(ds)
+            x2, y = design_rows(ds, design)
+            y_star = y - x2 @ mono.delta2_hat
             d1 = delta1_from_adjusted(design, y_star)
             np.testing.assert_allclose(d1, mono.delta1_hat, rtol=1e-9, atol=1e-12)
 
     def test_no_covariates_reduces_to_group_means(self):
         rng = np.random.default_rng(103)
-        design = make_design(rng, n=30, w=0)
+        ds, design = make_case(rng, n=30, w=0)
         fit = fit_fwl(design)
-        y1 = design.y[: design.n1]
-        y2 = design.y[design.n1:]
+        _, y = design_rows(ds, design)
+        y1 = y[: design.n1]
+        y2 = y[design.n1:]
         assert fit.beta0 == pytest.approx(y1.mean(), rel=1e-12)
         assert fit.beta1 == pytest.approx(y2.mean() - y1.mean(), rel=1e-12)
         # with no covariates the adjusted scale is the raw scale
@@ -179,10 +195,9 @@ class TestFits:
         # design's factors give it
         rng = np.random.default_rng(104)
         for _ in range(15):
-            design = make_design(rng)
+            ds, design = make_case(rng)
             fit = fit_fwl(design)
-            y_star = design.y - design.x2 @ fit.delta2_hat
-            for g1, g2 in (residual_group_summaries(design, y_star),
+            for g1, g2 in (residual_group_summaries(ds, design, fit.delta2_hat),
                            group_summaries(design, fit.delta2_hat)):
                 assert fit.beta0 == pytest.approx(g1.mean_adj, abs=1e-10)
                 assert fit.beta1 == pytest.approx(g2.mean_adj - g1.mean_adj, abs=1e-10)
@@ -194,19 +209,19 @@ class TestFits:
             assert fit.r0_squared <= fit.r_squared + 1e-12
             assert -1e-12 <= fit.r0_squared and fit.r_squared <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    @pytest.mark.parametrize("fitter", FITTERS)
     def test_gamma_and_r_squared_match_projector_oracles(self, fitter):
         rng = np.random.default_rng(118)
         for _ in range(20):
-            design = make_design(rng, n=int(rng.integers(10, 60)))
-            fit = fitter(design)
+            ds, design = make_case(rng, n=int(rng.integers(10, 60)))
+            fit = fitter(ds)
             assert fit.gamma == pytest.approx(
-                delta1_scaled_covariance(design)[1, 1], rel=1e-9
+                delta1_scaled_covariance(ds, design)[1, 1], rel=1e-9
             )
-            y = design.y
+            x2, y = design_rows(ds, design)
             centered = y - y.mean()
-            reduced = np.hstack([np.ones((design.n, 1)), design.x2])
-            for x, got in ((np.hstack([group_block(design), design.x2]), fit.r_squared),
+            reduced = np.hstack([np.ones((design.n, 1)), x2])
+            for x, got in ((np.hstack([group_block(design), x2]), fit.r_squared),
                            (reduced, fit.r0_squared)):
                 resid = y - linalg.projector(x) @ y
                 assert got == pytest.approx(
@@ -227,19 +242,20 @@ class TestFits:
 
 
 class TestStandardErrors:
-    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    @pytest.mark.parametrize("fitter", FITTERS)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120), w=st.integers(0, 5),
            offsets=st.lists(st.floats(min_value=-1e6, max_value=1e6),
                             min_size=5, max_size=5))
     def test_match_full_design_qr(self, fitter, seed, n, w, offsets):
         ds = make_dataset(np.random.default_rng(seed), n=n, w=w)
-        design = build_design(replace(ds, covariates=tuple(
+        ds = replace(ds, covariates=tuple(
             (name, col + offset) for (name, col), offset in zip(ds.covariates, offsets)
-        )))
-        fit = fitter(design)
+        ))
+        design = build_design(ds)
+        fit = fitter(ds)
         np.testing.assert_allclose(standard_errors(design, fit),
-                                   standard_errors_qr(design, fit), rtol=1e-9)
+                                   standard_errors_qr(ds, design, fit), rtol=1e-9)
 
     def test_one_n_row_qr_from_design_to_coefficient_table(self, monkeypatch):
         # the rank check, the fit, gamma, R^2, the group summaries and the
@@ -269,12 +285,13 @@ class TestSigma2:
     def test_explicit_annihilator_quadratic_form(self):
         rng = np.random.default_rng(107)
         for _ in range(15):
-            design = make_design(rng, n=40)
-            fit = fit_monolithic(design)
+            ds, design = make_case(rng, n=40)
+            fit = fit_monolithic(ds)
             m1 = annihilator_group(design)
-            r = design.y - design.x2 @ fit.delta2_hat
+            x2, y = design_rows(ds, design)
+            r = y - x2 @ fit.delta2_hat
             direct = (r @ m1 @ r) / design.df
-            assert sigma2_hat(design, fit.delta2_hat) == pytest.approx(
+            assert sigma2_hat(ds, design, fit.delta2_hat) == pytest.approx(
                 direct, rel=1e-10
             )
             assert fit.sigma2_hat == pytest.approx(direct, rel=1e-10)
@@ -282,10 +299,9 @@ class TestSigma2:
     def test_pooled_adjusted_ss_form(self):
         rng = np.random.default_rng(108)
         for _ in range(15):
-            design = make_design(rng)
+            ds, design = make_case(rng)
             fit = fit_fwl(design)
-            y_star = design.y - design.x2 @ fit.delta2_hat
-            for g1, g2 in (residual_group_summaries(design, y_star),
+            for g1, g2 in (residual_group_summaries(ds, design, fit.delta2_hat),
                            group_summaries(design, fit.delta2_hat)):
                 assert fit.sigma2_hat == pytest.approx(
                     (g1.ss_adj + g2.ss_adj) / design.df, rel=1e-10
@@ -295,19 +311,21 @@ class TestSigma2:
         ds = Dataset(response=np.array([2.0, 2.0, 5.0, 5.0]),
                      group_labels=("a", "a", "b", "b"))
         design = build_design(ds)
-        assert sigma2_hat(design, np.empty(0)) == pytest.approx(0.0, abs=1e-24)
+        assert sigma2_hat(ds, design, np.empty(0)) == pytest.approx(0.0, abs=1e-24)
 
     def test_nonpositive_df_raises(self):
         # build_design rejects n <= 2 + w up front, so exercise the guard on
         # a built design given one covariate column too many
         rng = np.random.default_rng(0)
-        built = build_design(small_dataset(
+        ds = small_dataset(
             labels=("a", "a", "b", "b", "b"), y=rng.standard_normal(5),
-            covs=(("x1", rng.standard_normal(5)), ("x2", rng.standard_normal(5)))))
-        design = replace(built, x2=rng.standard_normal((5, 3)))
+            covs=(("x1", rng.standard_normal(5)), ("x2", rng.standard_normal(5))))
+        built = build_design(ds)
+        ds = replace(ds, covariates=(*ds.covariates, ("x3", rng.standard_normal(5))))
+        design = replace(built, covariate_names=("x1", "x2", "x3"))
         assert (design.n, design.w, design.df) == (5, 3, 0)
         with pytest.raises(NonPositiveDfError):
-            sigma2_hat(design, np.zeros(3))
+            sigma2_hat(ds, design, np.zeros(3))
 
 
 class TestAnnihilatorsAndL:
@@ -323,39 +341,40 @@ class TestAnnihilatorsAndL:
 
     def test_covariate_annihilator_identity_when_w0(self):
         rng = np.random.default_rng(110)
-        design = make_design(rng, n=12, w=0)
-        np.testing.assert_array_equal(annihilator_covariates(design), np.eye(12))
+        ds, design = make_case(rng, n=12, w=0)
+        np.testing.assert_array_equal(annihilator_covariates(ds, design), np.eye(12))
 
     def test_residual_quadratic_matrix_properties(self):
         rng = np.random.default_rng(111)
         for _ in range(10):
-            design = make_design(rng, n=int(rng.integers(10, 60)))
-            ell = residual_quadratic_matrix(design)
+            ds, design = make_case(rng, n=int(rng.integers(10, 60)))
+            ell = residual_quadratic_matrix(ds, design)
             n, w = design.n, design.w
             assert np.trace(ell) == pytest.approx(n - 2 - w, abs=1e-8)
             assert np.max(np.abs(ell @ ell - ell)) < 1e-9
             assert np.max(np.abs(ell @ group_block(design))) < 1e-8
             if w:
-                assert np.max(np.abs(ell @ design.x2)) < 1e-8
+                assert np.max(np.abs(ell @ design_rows(ds, design)[0])) < 1e-8
 
     def test_quadratic_form_reproduces_rss(self):
         rng = np.random.default_rng(112)
-        design = make_design(rng, n=25, w=2)
-        fit = fit_monolithic(design)
-        ell = residual_quadratic_matrix(design)
-        assert design.y @ ell @ design.y == pytest.approx(
+        ds, design = make_case(rng, n=25, w=2)
+        fit = fit_monolithic(ds)
+        ell = residual_quadratic_matrix(ds, design)
+        _, y = design_rows(ds, design)
+        assert y @ ell @ y == pytest.approx(
             fit.sigma2_hat * design.df, rel=1e-9
         )
 
     def test_scaled_covariance_without_covariates(self):
         rng = np.random.default_rng(113)
-        design = make_design(rng, n=20, w=0)
+        ds, design = make_case(rng, n=20, w=0)
         n1, n2 = design.n1, design.n2
         expected = np.array([
             [1.0 / n1, -1.0 / n1],
             [-1.0 / n1, (n1 + n2) / (n1 * n2)],
         ])
-        np.testing.assert_allclose(delta1_scaled_covariance(design), expected,
+        np.testing.assert_allclose(delta1_scaled_covariance(ds, design), expected,
                                    rtol=1e-10)
 
 
@@ -369,23 +388,37 @@ class TestGroupSummariesAndR2:
         assert g1.mean_raw == 3.0 and g2.mean_raw == 7.0
         assert g1.ss_raw == 0.0 and g2.ss_raw == 0.0
 
-    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    @pytest.mark.parametrize("fitter", FITTERS)
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120), w=st.integers(0, 5),
            offsets=st.lists(st.floats(min_value=-1e6, max_value=1e6),
                             min_size=5, max_size=5))
     def test_match_residual_form(self, fitter, seed, n, w, offsets):
         ds = make_dataset(np.random.default_rng(seed), n=n, w=w)
-        design = build_design(replace(ds, covariates=tuple(
+        ds = replace(ds, covariates=tuple(
             (name, col + offset) for (name, col), offset in zip(ds.covariates, offsets)
-        )))
-        delta2 = fitter(design).delta2_hat
+        ))
+        design = build_design(ds)
+        delta2 = fitter(ds).delta2_hat
         got = group_summaries(design, delta2)
-        want = residual_group_summaries(design, design.y - design.x2 @ delta2)
+        want = residual_group_summaries(ds, design, delta2)
         for g, o in zip(got, want):
             assert g.n_rows == o.n_rows
             for field in ("mean_raw", "ss_raw", "mean_adj", "ss_adj"):
                 assert getattr(g, field) == pytest.approx(getattr(o, field), rel=1e-9), field
+
+    def test_residual_form_is_exact_under_a_large_offset(self):
+        # y - X2 delta2 carries X2 delta2 at the offset's magnitude; in
+        # float64 the residual form's ss_adj was off by 9.7e-10 relative
+        # here, at the scale of the 1e-9 tolerance above
+        ds = make_dataset(np.random.default_rng(55862), n=10, w=5)
+        ds = replace(ds, covariates=tuple(
+            (name, col + offset)
+            for (name, col), offset in zip(ds.covariates, [0, 0, 846381, 0, 0])
+        ))
+        design = build_design(ds)
+        g1, _ = residual_group_summaries(ds, design, fit_fwl(design).delta2_hat)
+        assert g1.ss_adj == pytest.approx(0.46739793737787, rel=1e-13)
 
     def test_r_squared_bounds_random(self):
         rng = np.random.default_rng(114)
@@ -419,9 +452,9 @@ class TestGroupSummariesAndR2:
     def test_quadratic_form_oracle(self):
         # direct evaluation of the projector quadratic forms
         rng = np.random.default_rng(116)
-        design = make_design(rng, n=30, w=2)
-        y = design.y
-        x = np.hstack([group_block(design), design.x2])
+        ds, design = make_case(rng, n=30, w=2)
+        x2, y = design_rows(ds, design)
+        x = np.hstack([group_block(design), x2])
         p = x @ np.linalg.inv(x.T @ x) @ x.T
         c = np.eye(design.n) - np.full((design.n, design.n), 1.0 / design.n)
         expected_r2 = 1.0 - (y @ (np.eye(design.n) - p) @ y) / (y @ c @ y)
@@ -430,15 +463,16 @@ class TestGroupSummariesAndR2:
 
 
 class TestLinearMemory:
-    @pytest.mark.parametrize("fitter", [fit_fwl, fit_monolithic])
+    @pytest.mark.parametrize("fitter", FITTERS)
     def test_fit_and_report_stay_linear_in_n(self, fitter):
         # an n x n float64 matrix at n=3000 is 72 MB; the whole fit, report
         # and coefficient table must fit in a small multiple of the
         # 3000 x 12 design (0.3 MB)
-        design = make_design(np.random.default_rng(117), n=3000, w=10)
+        ds = make_dataset(np.random.default_rng(117), n=3000, w=10)
+        design = build_design(ds)
         tracemalloc.start()
         try:
-            fit = fitter(design)
+            fit = fitter(ds)
             effect_report(design, fit)
             standard_errors(design, fit)
             _, peak = tracemalloc.get_traced_memory()
@@ -461,28 +495,27 @@ class TestLinearMemory:
             tracemalloc.stop()
         assert peak < 64e3, f"peak {peak / 1e3:.1f} KB"
 
-    def test_design_holds_one_copy_of_its_columns(self):
-        # build_design reads the selected columns once, into one
-        # group-ordered (n, w+1) [X2 | y] block that y and x2 view; all it
-        # keeps besides is row_order and O(w^2) factors. It factors each
-        # group in blocks of at most half the rows, so while it factors one
-        # it holds at most two half-block copies (the shifted block and
-        # np.linalg.qr's own copy of it), whatever the split: about 2.1
-        # blocks in all. 2.25 blocks (19.8 MB here) leaves a column of
-        # slack; a second full [X2 | y] copy, or a group factored whole
-        # (21.6 MB at this 32/68 split), would exceed it.
+    def test_design_keeps_only_its_group_statistics(self):
+        # build_design reads the selected columns once, into one local
+        # group-ordered (n, w+1) [X2 | y] block, and keeps only O(w^2)
+        # group statistics. It centers each group in place, in blocks of at
+        # most half the rows, so besides the block it holds np.linalg.qr's
+        # copy of at most half of it, whatever the split: about 1.6 blocks
+        # in all. 1.75 blocks (15.4 MB here) leaves slack; a shifted copy
+        # of each block besides (18.5 MB), or a group factored whole
+        # (about 2.0 blocks at this 32/68 split), would exceed it.
         ds = make_dataset(np.random.default_rng(120), n=100_000, w=10)
         n, w = ds.n_rows, ds.n_covariates
-        block, column = 8 * n * (w + 1), 8 * n
+        block = 8 * n * (w + 1)
         tracemalloc.start()
         try:
             design = build_design(ds)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept < block + column + 64e3, f"kept {kept / 1e6:.2f} MB"
-        assert peak < 2.25 * block, f"peak {peak / 1e6:.2f} MB"
-        assert design.y.base is design.x2.base is not None
+        assert design.n == n
+        assert kept < 64e3, f"kept {kept / 1e3:.1f} KB"
+        assert peak < 1.75 * block, f"peak {peak / 1e6:.2f} MB"
 
     def test_peak_does_not_depend_on_the_group_split(self):
         # factoring in blocks of at most half the rows bounds the copies by
