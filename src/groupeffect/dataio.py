@@ -16,8 +16,8 @@ text finds each row it rejects: the rows before it are converted at once,
 that row alone goes through the per-cell regex, and the scan goes on from
 the next row. One check of the loaded values drops the rows holding a
 cell that overflowed to inf. The result is the same as parsing cell by
-cell. A leading UTF-8 BOM is skipped, and a selected column name that
-occurs more than once in the header is an error.
+cell. A leading UTF-8 BOM is skipped. A selected column name that occurs
+more than once in the header is an error, and so is a column selected twice.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ def _read(path, numeric_cols, group_col, delimiter):
             if group_col is not None:
                 selected.insert(1, group_col)  # checked as response, group, covariates
             for name in selected:
+                if selected.count(name) > 1:
+                    raise DataError(f"column {name!r} is selected more than once")
                 count = header.count(name)
                 if count == 0:
                     raise MissingColumnError(name)
@@ -250,7 +252,9 @@ def load_csv(
 
     Rows with an empty or unparseable cell in any selected column are
     dropped; the count is recorded on the returned Dataset. A selected name
-    that occurs more than once in the header raises DuplicateColumnError.
+    that occurs more than once in the header raises DuplicateColumnError,
+    and a name selected twice (as two covariates, or in two of the three
+    roles) raises DataError.
     Loading is deterministic: identical bytes produce an identical Dataset.
     """
     covariate_cols = list(covariate_cols)

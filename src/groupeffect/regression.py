@@ -10,18 +10,18 @@ columns. The same fit is available two ways:
   group-centered covariates, then read the group block off the group means).
 
 Centering within groups is the annihilator M1 of X1, so the partialled-out
-fit needs only, per group, its count, its means of [X2 | y] and a factor
-R_j of its centered [X2 | y]. :func:`build_design` computes them and keeps
+fit needs only, per group, its count, its means of [X2 | y] and the
+triangular factor R_j of its centered [X2 | y]. :func:`build_design`
+computes them, factoring each group in place with LAPACK dgeqrf, and keeps
 them as the fields of the design, which holds no n-row array. Stacking R_1
 on R_2 and re-triangularizing gives R, the (w+1) x (w+1) factor of the
 group-centered [X2 | y]. From R follow the rank check of the design, the covariate
-coefficients, sigma^2, gamma, both R^2 values and every standard error;
-from the R_j each group's summaries on the raw and the adjusted scale. Cost
-and memory are linear in n and no n x n matrix is formed. Stacking R on
-the between-group row sqrt(n1 n2 / n) (mean1 - mean2) and
-re-triangularizing gives the factor of the overall-centered [X2 | y], i.e.
-the reduced model without the group dummy (the pairwise update of Chan,
-Golub & LeVeque).
+coefficients, sigma^2, gamma and every standard error; from the R_j each
+group's summaries on the raw and the adjusted scale. Both R^2 values need
+no further factorization: the total sum of squares is the within-group
+part, from R, plus the between-group part n1 n2 / n (mean2 - mean1)^2, and
+dropping the group dummy adds beta1^2 / gamma to the residual sum of
+squares. Cost and memory are linear in n and no n x n matrix is formed.
 
 The two routes agree to floating-point accuracy; the tests compare them,
 and compare the factored summaries with their residual forms.
@@ -30,9 +30,9 @@ and compare the factored summaries with their residual forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from . import linalg
 from .dataio import Dataset
@@ -72,10 +72,9 @@ class PartitionedDesign:
     * ``means``: per group, the means of [X2 | y];
     * ``diff``: group-2 minus group-1 means, taken before the first-row
       shift is added back (see :func:`build_design`);
-    * ``factors``: per group, R_j with R_j' R_j the group's centered
-      cross-product matrix: its triangular factor, min(n_j, w+1) rows, or
-      for a group factored in two blocks (see :func:`build_design`) the
-      blocks' factors stacked on their mean-difference row, 2w+3 rows;
+    * ``factors``: per group, R_j, the upper-triangular factor of the
+      group's centered [X2 | y], min(n_j, w+1) x (w+1): R_j' R_j is the
+      group's centered cross-product matrix;
     * ``r``: the (w+1) x (w+1) factor of R_1 stacked on R_2. Its leading
       w x w block factors X2' M1 X2, its last column above the diagonal
       carries X2' M1 y, and r[w, w]^2 is the residual sum of squares of the
@@ -168,17 +167,16 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
 
     The selected columns are read once, into a local [X2 | y] with group 1's
     rows first, each group's in file order; the design keeps none of its
-    rows. Each group's rows are shifted by the first row, centered and
-    factored in place; a group of over max(n/2, 128) rows in two blocks,
-    then merged, so the factorization's copy stays within that many rows
-    whatever the split. The first row is subtracted before the group means
-    and added back to the means kept: that subtraction is exact for a
-    column far from zero, so the mean differences, and the rank check that
-    reads r, keep the digits a large common offset would otherwise round
-    away. The group means still round at the scale of the shifted columns,
-    so the rank check measures r against ``norms``, not against r itself: a
-    covariate that is constant within each group leaves a residue of that
-    rounding, which r alone would take for a full-rank column.
+    rows. Each group's rows are shifted by the first row as they are read,
+    centered and factored in place, so no copy is made whatever the split.
+    The first row is subtracted before the group means and added back to
+    the means kept: that subtraction is exact for a column far from zero,
+    so the mean differences, and the rank check that reads r, keep the
+    digits a large common offset would otherwise round away. The group
+    means still round at the scale of the shifted columns, so the rank
+    check measures r against ``norms``, not against r itself: a covariate
+    that is constant within each group leaves a residue of that rounding,
+    which r alone would take for a full-rank column.
     """
     labels = sorted(set(ds.group_labels))
     if reference_level is not None:
@@ -203,18 +201,24 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
             f"{n} rows cannot support an intercept, a group dummy and {w} covariate(s)"
         )
 
-    data = np.empty((n, w + 1))
-    for j, (name, col) in enumerate((*ds.covariates, ("response", ds.response))):
-        np.take(linalg.as_vector(col, name), order, out=data[:, j])
-    pivot = data[0].copy()
-    size = max((n + 1) // 2, _MIN_BLOCK_ROWS)
-    parts = [reduce(_merge, (_centered_factor(rows[i:i + size], pivot)
-                             for i in range(0, len(rows), size)))
-             for rows in (data[:n1], data[n1:])]
-    (_, mean1, f1), (_, mean2, f2) = parts
-    r = np.linalg.qr(np.vstack([f1, f2]), mode="r")
+    cols = [linalg.as_vector(c, name) for name, c in (*ds.covariates, ("response", ds.response))]
+    pivot = np.array([col[order[0]] for col in cols])
+    buf = np.empty(n * (w + 1))
+    means, factors = [], []
+    for lo, hi in ((0, n1), (n1, n)):
+        # column-major n_j x (w+1): row c of the (w+1, n_j) view is column c
+        block = buf[lo * (w + 1):hi * (w + 1)].reshape(w + 1, hi - lo)
+        for row, col, shift in zip(block, cols, pivot):
+            np.subtract(col[order[lo:hi]], shift, out=row)
+        mean = block.sum(axis=1) / (hi - lo)
+        for row, m in zip(block, mean):  # a broadcast -= would allocate a buffer
+            row -= m
+        means.append(mean)
+        factors.append(_qr_r(block))
+    (mean1, mean2), (f1, f2) = means, factors
+    r = _qr_r(np.vstack([f1, f2]).T.copy())
     # a shifted column's sum of squares is its centered part plus n_j mean_j^2
-    norms = np.sqrt(sum(np.einsum("ij,ij->j", f, f) + c * m**2 for c, m, f in parts))
+    norms = np.sqrt(np.einsum("ij,ij->j", r, r) + n1 * mean1**2 + n2 * mean2**2)
     names = tuple(name for name, _ in ds.covariates)
     try:
         linalg._check_r_diagonal(r[:w, :w], n, scale=norms[:w])
@@ -227,27 +231,17 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     )
 
 
-# build_design's blocks are at most half of n rows but never under this size,
-# below which np.linalg.qr's cost per call outweighs the copies it saves
-_MIN_BLOCK_ROWS = 128
-
-
-def _centered_factor(rows, pivot):
-    """Count, mean and triangular factor of ``rows - pivot`` once centered;
-    overwrites ``rows`` with its centered values."""
-    rows -= pivot
-    mean = rows.sum(axis=0) / len(rows)
-    rows -= mean
-    return len(rows), mean, np.linalg.qr(rows, mode="r")
-
-
-def _merge(a, b):
-    """Pairwise update (Chan, Golub & LeVeque) of two (count, mean, factor)
-    parts: the union's centered cross-product is the parts' plus
-    n_a n_b / n (m_b - m_a)(m_b - m_a)'."""
-    (na, ma, fa), (nb, mb, fb) = a, b
-    n, step = na + nb, mb - ma
-    return n, ma + nb / n * step, np.vstack([fa, fb, (na * nb / n) ** 0.5 * step])
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(a.T, mode="r")`` bit for bit for a C-contiguous (k, m)
+    float64 ``a``, which LAPACK dgeqrf overwrites where np.linalg.qr would
+    copy it; any other layout raises LapackError."""
+    k, m = a.shape
+    tau, work = np.empty(min(m, k)), np.empty(max(k, 1))
+    lapack_lite.dgeqrf(m, k, a, m, tau, work, len(work), 0)
+    r = a[:, :min(m, k)].T.copy()
+    for i in range(1, len(r)):  # below the diagonal dgeqrf leaves its reflectors
+        r[i, :i] = 0.0
+    return r
 
 
 def fit_monolithic(ds: Dataset, reference_level: str | None = None) -> PartitionedFit:
@@ -280,19 +274,25 @@ def fit_fwl(design: PartitionedDesign) -> PartitionedFit:
 def _finish_fit(design, delta1, delta2) -> PartitionedFit:
     diff, r = design.diff, design.r
     w = design.w
-    sig2 = float(r[w, w]) ** 2 / _residual_df(design)
+    rss = float(r[w, w]) ** 2
+    sig2 = rss / _residual_df(design)
     # Var(beta1) / sigma^2 = 1/n1 + 1/n2 + (xbar1 - xbar2)' (X2' M1 X2)^-1 (xbar1 - xbar2)
     v = np.linalg.solve(r[:w, :w].T, diff[:w]) if w else np.empty(0)
     gamma = 1.0 / design.n1 + 1.0 / design.n2 + float(v @ v)
-    r2, r02 = r_squared_pair(design)
+    # about the grand mean: y's within-group sum of squares plus its between-group part
+    total_ss = float(r[:, w] @ r[:, w]) + design.n1 * design.n2 / design.n * float(diff[w]) ** 2
+    if total_ss == 0.0:
+        raise DegenerateResponseError("response is constant")
+    # FWL: dropping the dummy adds beta1^2 / gamma to the residual sum of squares
+    rss0 = rss + float(delta1[1]) ** 2 / gamma
     return PartitionedFit(
         delta1_hat=np.asarray(delta1, dtype=float),
         delta2_hat=np.asarray(delta2, dtype=float),
         sigma2_hat=sig2,
         gamma=gamma,
         se_beta1=float(np.sqrt(sig2 * gamma)),
-        r_squared=r2,
-        r0_squared=r02,
+        r_squared=1.0 - rss / total_ss,
+        r0_squared=1.0 - rss0 / total_ss,
         df=design.df,
     )
 
@@ -338,18 +338,10 @@ def require_residual(design: PartitionedDesign) -> None:
 
 
 def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:
-    """Coefficients of determination of the full model and of the reduced
-    model that drops the group dummy (intercept plus covariates only)."""
-    diff, r = design.diff, design.r
-    w = design.w
-    between = np.sqrt(design.n1 * design.n2 / design.n) * diff
-    r0 = np.linalg.qr(np.vstack([r, between]), mode="r")
-    total_ss = float(r0[:, w] @ r0[:, w])
-    if total_ss == 0.0:
-        raise DegenerateResponseError("response is constant")
-    r2 = 1.0 - float(r[w, w]) ** 2 / total_ss
-    r02 = 1.0 - float(r0[w, w]) ** 2 / total_ss
-    return r2, r02
+    """R^2 of the full model and of the reduced model without the group
+    dummy, as :func:`fit_fwl` reports them, with no factorization."""
+    fit = fit_fwl(design)
+    return fit.r_squared, fit.r0_squared
 
 
 def standard_errors(design: PartitionedDesign, fit: PartitionedFit) -> np.ndarray:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import sys
@@ -163,14 +164,24 @@ class TestEffectCommand:
 
     @pytest.mark.parametrize("covariates", [("G3", "Fedu"), ("G3",)])
     @pytest.mark.parametrize("command", ["effect", "fit"])
-    def test_response_linear_in_group_and_covariates_exits_3(self, capsys, command,
-                                                               covariates):
-        # the residual is rounding noise, not an exact zero: |R_ww| is about
-        # 3e-14 against a rank-check tolerance of 1.4e-11; both output
-        # formats run the same check before anything is printed
+    def test_response_linear_in_group_and_covariates_exits_3(self, capsys, tmp_path,
+                                                               command, covariates):
+        # the response is a copy of G3 (a column may not be selected twice),
+        # so with G3 among the covariates the residual is rounding noise,
+        # not an exact zero: |R_ww| is about 3e-14 against a rank-check
+        # tolerance of 1.4e-11; both output formats run the same check
+        # before anything is printed
+        path = tmp_path / "student_with_copy.csv"
+        with open(student_csv_path(), newline="", encoding="utf-8") as src:
+            header, *rows = csv.reader(src, delimiter=";")
+        with open(path, "w", newline="", encoding="utf-8") as dst:
+            g3 = header.index("G3")
+            csv.writer(dst, delimiter=";").writerows(
+                [header + ["G3_copy"], *(row + [row[g3]] for row in rows)])
+        argv = [command, "--data", str(path), "--response", "G3_copy", "--group", "sex",
+                "--covariates", ",".join(covariates)]
         for output_format in ("json", "text"):
-            code, out, err = run(capsys, command, *student_args(*covariates),
-                                 "--format", output_format)
+            code, out, err = run(capsys, *argv, "--format", output_format)
             assert (code, out) == (3, ""), output_format
             assert err.startswith("error: ZeroVarianceError:"), output_format
 
@@ -400,6 +411,16 @@ class TestInputHeaders:
             argv += ["--group", "g"]
         code, _, err = run(capsys, *argv)
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("name, roles", [
+        ("Fedu", ["--response", "G3", "--group", "sex", "--covariates", "Fedu,Fedu"]),
+        ("G3", ["--response", "G3", "--group", "sex", "--covariates", "G3"]),
+        ("sex", ["--response", "sex", "--group", "sex"]),
+    ], ids=["two_covariates", "response_and_covariate", "response_and_group"])
+    def test_column_selected_twice_exits_2(self, capsys, name, roles):
+        code, out, err = run(capsys, "effect", "--data", str(student_csv_path()), *roles)
+        assert code == 2 and out == ""
+        assert f"DataError: column {name!r} is selected more than once" in err
 
 
 class TestUnreadableInput:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import lapack_lite
 
 from groupeffect import (
     Dataset,
@@ -16,7 +17,7 @@ from groupeffect import (
     r_squared_pair,
     standard_errors,
 )
-from groupeffect import linalg
+from groupeffect import linalg, regression
 from groupeffect.errors import (
     DegenerateResponseError,
     GroupTooSmallError,
@@ -63,13 +64,15 @@ class TestBuildDesign:
         np.testing.assert_allclose(design_rows(ds, d)[1], [1.0, 2.0, 4.0, 3.0])
         assert (d.means[0][0], d.means[1][0]) == (1.5, 3.5)
 
-    def test_large_group_factored_in_two_blocks(self):
-        # n = 600: groups of more than 300 rows are factored as two blocks
-        # and merged; the merged factor and means must still be the
+    def test_large_group_factored_whole(self):
+        # n = 600 at a 130/470 split: each group, however large, is factored
+        # whole in one triangular R_j; its factor and means must be the
         # group's own, and both fitters must still agree
         ds = with_split(make_dataset(np.random.default_rng(121), n=600, w=3), 130)
         d = build_design(ds)
-        assert [f.shape[0] for f in d.factors] == [d.w + 1, 2 * d.w + 3]
+        assert [list(f.shape) for f in d.factors] == [[d.w + 1, d.w + 1]] * 2
+        for f in d.factors:
+            np.testing.assert_array_equal(f, np.triu(f))
         data = np.column_stack(design_rows(ds, d))
         for rows, mean, factor in zip((data[:d.n1], data[d.n1:]), d.means, d.factors):
             centered = rows - rows.mean(axis=0)
@@ -259,26 +262,75 @@ class TestStandardErrors:
 
     def test_one_n_row_qr_from_design_to_coefficient_table(self, monkeypatch):
         # the rank check, the fit, gamma, R^2, the group summaries and the
-        # standard errors all come from one factorization of each group's
-        # rows of [X2 | y]; no QR runs over all n rows
-        design_rows = []
-        qr = np.linalg.qr
+        # standard errors all come from one in-place factorization of each
+        # group's rows of [X2 | y] and one of the stacked R_j; no QR runs
+        # over all n rows, and np.linalg.qr runs not at all
+        design_rows, numpy_qr_calls = [], []
+        qr, qr_r = np.linalg.qr, regression._qr_r
+
+        def counting_qr_r(a):
+            design_rows.append(a.shape[1])
+            return qr_r(a)
 
         def counting_qr(a, *args, **kwargs):
-            design_rows.append(np.shape(a)[0])
+            numpy_qr_calls.append(np.shape(a))
             return qr(a, *args, **kwargs)
 
         ds = make_dataset(np.random.default_rng(119), n=200, w=3)
+        monkeypatch.setattr(regression, "_qr_r", counting_qr_r)
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         design = build_design(ds)
         fit = fit_fwl(design)
         effect_report(design, fit)
         standard_errors(design, fit)
         n1, n2 = design.n1, design.n2
-        # the other QRs factor stacks of 2(w+1) or 2(w+1)+1 rows
+        # the third factorization is of the stacked R_j, 2(w+1) rows
         assert len({n1, n2, design.n}) == 3 and min(n1, n2) > 2 * (design.w + 2)
         assert design_rows.count(design.n) == 0, design_rows
         assert design_rows.count(n1) == 1 and design_rows.count(n2) == 1, design_rows
+        assert sorted(design_rows) == sorted([n1, n2, 2 * (design.w + 1)]), design_rows
+        assert numpy_qr_calls == []
+
+
+class TestInPlaceQr:
+    """``regression._qr_r`` factors a column-major matrix in place through
+    LAPACK dgeqrf; its R must be the one np.linalg.qr gives, bit for bit."""
+
+    @staticmethod
+    def check(x):
+        want = np.linalg.qr(x, mode="r")
+        got = regression._qr_r(np.ascontiguousarray(x.T))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300), k=st.integers(1, 12))
+    def test_matches_numpy_on_random_shapes(self, seed, m, k):
+        self.check(np.random.default_rng(seed).standard_normal((m, k)))
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (1, 5), (3, 7), (8, 1), (400, 1)])
+    def test_matches_numpy_on_edge_shapes(self, m, k):
+        self.check(np.random.default_rng(m * 31 + k).standard_normal((m, k)))
+
+    def test_matches_numpy_under_a_large_offset(self):
+        x = np.random.default_rng(123).standard_normal((200, 6))
+        x[:, 1:4] += 1e13
+        self.check(x)
+
+    def test_overwrites_its_input(self):
+        x = np.random.default_rng(124).standard_normal((30, 4))
+        a = np.ascontiguousarray(x.T)
+        r = regression._qr_r(a)
+        np.testing.assert_array_equal(np.triu(a[:, :4].T), r)
+        assert not np.array_equal(a, x.T)
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+    def test_non_contiguous_input_raises(self, layout):
+        x = np.random.default_rng(125).standard_normal((30, 4))
+        a = {"fortran": np.asfortranarray(x.T), "transposed": x.T,
+             "strided": np.ascontiguousarray(x.T)[:, ::2]}[layout]
+        with pytest.raises(lapack_lite.LapackError, match="not contiguous"):
+            regression._qr_r(a)
 
 
 class TestSigma2:
@@ -498,12 +550,10 @@ class TestLinearMemory:
     def test_design_keeps_only_its_group_statistics(self):
         # build_design reads the selected columns once, into one local
         # group-ordered (n, w+1) [X2 | y] block, and keeps only O(w^2)
-        # group statistics. It centers each group in place, in blocks of at
-        # most half the rows, so besides the block it holds np.linalg.qr's
-        # copy of at most half of it, whatever the split: about 1.6 blocks
-        # in all. 1.75 blocks (15.4 MB here) leaves slack; a shifted copy
-        # of each block besides (18.5 MB), or a group factored whole
-        # (about 2.0 blocks at this 32/68 split), would exceed it.
+        # group statistics. 1.75 blocks (15.4 MB here) leaves slack over
+        # factoring in place (see the next test); a shifted copy of the
+        # block besides (18.5 MB), or a copy of the larger group made for
+        # np.linalg.qr (about 2.0 blocks at this 32/68 split), exceeds it.
         ds = make_dataset(np.random.default_rng(120), n=100_000, w=10)
         n, w = ds.n_rows, ds.n_covariates
         block = 8 * n * (w + 1)
@@ -517,11 +567,27 @@ class TestLinearMemory:
         assert kept < 64e3, f"kept {kept / 1e3:.1f} KB"
         assert peak < 1.75 * block, f"peak {peak / 1e6:.2f} MB"
 
+    def test_design_peak_stays_near_one_block(self):
+        # the (n, w+1) block is filled group by group, already shifted, and
+        # each group's span goes to LAPACK as it stands; besides the block
+        # only the group ordering and one gathered column are live, about
+        # 1.16 blocks here. A copy of half the block made for the
+        # factorization (1.6 blocks) exceeds 1.25.
+        ds = make_dataset(np.random.default_rng(120), n=100_000, w=10)
+        block = 8 * ds.n_rows * (ds.n_covariates + 1)
+        tracemalloc.start()
+        try:
+            build_design(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * block, f"peak {peak / block:.2f} blocks"
+
     def test_peak_does_not_depend_on_the_group_split(self):
-        # factoring in blocks of at most half the rows bounds the copies by
-        # the block size, not by the larger group: at 50/50, 68/32 and 90/10
-        # the peaks agree to within one n-row column (a whole-group
-        # factorization would differ by 0.8 of the (n, w+1) block)
+        # each group is factored in place, so no copy of the larger group
+        # is made: at 50/50, 68/32 and 90/10 the peaks agree to within one
+        # n-row column (a copy of the larger group would differ by 0.8 of
+        # the (n, w+1) block)
         ds = make_dataset(np.random.default_rng(122), n=20_000, w=10)
         peaks = []
         for n1 in (10_000, 13_600, 18_000):
