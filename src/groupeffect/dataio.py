@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import itemgetter
 
@@ -39,6 +39,7 @@ from .errors import (
     NotBinaryGroupError,
     UnsortedEdgesError,
 )
+from .linalg import as_vector
 
 __all__ = ["Dataset", "load_csv", "load_column", "histogram"]
 
@@ -59,6 +60,15 @@ class Dataset:
     ``covariates`` is an ordered tuple of (name, values) pairs; it may be
     empty, in which case the analysis reduces to the classic two-sample
     setting.
+
+    Construction checks the columns once, so the analysis need not:
+    ``response`` and each covariate are stored as 1-D float64 arrays (a
+    list, an integer array or an (n, 1) column is converted), and a NaN or
+    Inf in any of them raises ValueError naming the column. It also codes
+    the groups once: ``levels`` holds the two labels in ascending order
+    and ``in_second``, a read-only boolean array, is True for each row
+    labelled ``levels[1]``. These two are derived, not arguments;
+    ``dataclasses.replace`` derives them anew.
     """
 
     response: np.ndarray
@@ -66,6 +76,8 @@ class Dataset:
     covariates: tuple[tuple[str, np.ndarray], ...] = ()
     dropped_rows: int = 0
     source: str = "<memory>"
+    levels: tuple[str, str] = field(init=False, compare=False, repr=False)
+    in_second: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.response)
@@ -80,6 +92,14 @@ class Dataset:
         labels = sorted(set(self.group_labels))
         if len(labels) != 2:
             raise NotBinaryGroupError(labels)
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "response", as_vector(self.response, "response"))
+        set_field(self, "covariates",
+                  tuple((name, as_vector(col, name)) for name, col in self.covariates))
+        set_field(self, "levels", tuple(labels))
+        # bytes() packs the 0/1 codes in C, at about half np.fromiter's cost
+        codes = bytes(map({labels[0]: 0, labels[1]: 1}.__getitem__, self.group_labels))
+        set_field(self, "in_second", np.frombuffer(codes, bool))
 
     @property
     def n_rows(self) -> int:

@@ -47,10 +47,13 @@ class RankDeficientDesignError(RankDeficientError):
 
 
 class GroupTooSmallError(DataError):
-    def __init__(self, label, count):
+    """A group has fewer than 2 rows; a reference level that is no group
+    label is a group of 0 rows."""
+
+    def __init__(self, label, count, message=None):
         self.label = label
         self.count = count
-        super().__init__(f"group {label!r} has only {count} row(s); need at least 2")
+        super().__init__(message or f"group {label!r} has only {count} row(s); need at least 2")
 
 
 class InsufficientRowsError(DataError):

@@ -3,10 +3,15 @@
 Everything here works on plain float64 numpy arrays: matrices are 2-D,
 vectors are 1-D. Least-squares solves go through Householder QR (never the
 normal equations) with an explicit rank check on the diagonal of R.
-:func:`projector` returns an explicit n x n matrix and is kept for callers
-that want one; the fitting code never calls it. Nor does it call
-:func:`require_full_column_rank`: the regression design applies the same
-diagonal rule to the R factor it already has.
+
+The production path does not use this module. Its remaining callers in
+the package are ``Dataset``, which checks its columns once with
+:func:`as_vector` when it is made, and ``regression.fit_monolithic``, the
+cross-check fit, which solves through :func:`qr_least_squares`; the
+benchmark's tracer also wraps names here. :func:`projector` (an explicit
+n x n matrix) and :func:`require_full_column_rank` have no caller in the
+package: the regression design applies the same diagonal rule to the R
+factor it already has, in its own loop.
 """
 
 from __future__ import annotations

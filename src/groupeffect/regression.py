@@ -29,6 +29,7 @@ and compare the factored summaries with their residual forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,11 @@ from . import linalg
 from .dataio import Dataset
 from .errors import (
     DegenerateResponseError,
+    DimensionMismatchError,
     GroupTooSmallError,
     InsufficientRowsError,
     NonPositiveDfError,
     RankDeficientDesignError,
-    RankDeficientError,
     ZeroVarianceError,
 )
 
@@ -59,6 +60,8 @@ __all__ = [
     "coefficient_names",
     "standard_errors",
 ]
+
+_EPS = sys.float_info.epsilon  # np.finfo(float).eps, without its first-call cost
 
 
 @dataclass(frozen=True)
@@ -156,9 +159,12 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     """Sort a dataset into the partitioned design.
 
     Group labels map to groups by ascending lexicographic order unless
-    ``reference_level`` forces one label to be group 1.
+    ``reference_level`` forces one label to be group 1. The mapping and the
+    columns come checked from the dataset (see :class:`Dataset`), so no
+    label is read here.
 
-    Raises GroupTooSmallError if either group has fewer than 2 rows,
+    Raises GroupTooSmallError if either group has fewer than 2 rows or
+    ``reference_level`` is not one of the two labels,
     InsufficientRowsError if n <= 2 + w, and RankDeficientDesignError
     (naming the covariate) if the combined design is collinear. Centering
     within groups annihilates the intercept and the dummy, so the design
@@ -178,15 +184,16 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     that is constant within each group leaves a residue of that rounding,
     which r alone would take for a full-rank column.
     """
-    labels = sorted(set(ds.group_labels))
-    if reference_level is not None:
-        if reference_level not in labels:
-            raise GroupTooSmallError(reference_level, 0)
-        labels = [reference_level] + [l for l in labels if l != reference_level]
-    g1, g2 = labels
+    g1, g2 = ds.levels
+    in_group2 = ds.in_second
+    if reference_level is not None and reference_level != g1:
+        if reference_level != g2:
+            raise GroupTooSmallError(
+                reference_level, 0, f"reference level {reference_level!r} is not a group "
+                f"label; the labels are {g1!r} and {g2!r}")
+        g1, g2, in_group2 = g2, g1, ~in_group2
 
     n = ds.n_rows
-    in_group2 = np.fromiter(map(g2.__eq__, ds.group_labels), bool, n)
     order = np.argsort(in_group2, kind="stable")
     n2 = int(np.count_nonzero(in_group2))
     n1 = n - n2
@@ -201,7 +208,7 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
             f"{n} rows cannot support an intercept, a group dummy and {w} covariate(s)"
         )
 
-    cols = [linalg.as_vector(c, name) for name, c in (*ds.covariates, ("response", ds.response))]
+    cols = [*(col for _, col in ds.covariates), ds.response]
     pivot = np.array([col[order[0]] for col in cols])
     buf = np.empty(n * (w + 1))
     means, factors = [], []
@@ -220,15 +227,26 @@ def build_design(ds: Dataset, reference_level: str | None = None) -> Partitioned
     # a shifted column's sum of squares is its centered part plus n_j mean_j^2
     norms = np.sqrt(np.einsum("ij,ij->j", r, r) + n1 * mean1**2 + n2 * mean2**2)
     names = tuple(name for name, _ in ds.covariates)
-    try:
-        linalg._check_r_diagonal(r[:w, :w], n, scale=norms[:w])
-    except RankDeficientError as exc:
-        raise RankDeficientDesignError(names[exc.column]) from None
+    dependent = _first_negligible(r, n, norms, 0, w)
+    if dependent is not None:
+        raise RankDeficientDesignError(names[dependent])
     return PartitionedDesign(
         n1=n1, n2=n2, group_labels=(g1, g2), covariate_names=names,
         means=(mean1 + pivot, mean2 + pivot), diff=mean2 - mean1,
         factors=(f1, f2), r=r, norms=norms,
     )
+
+
+def _first_negligible(r: np.ndarray, n: int, scale: np.ndarray, lo: int, hi: int) -> int | None:
+    """The first i in [lo, hi) with |r[i, i]| <= max(n, k) * eps * scale[i],
+    k = hi - lo, or None. This is the rank rule of linalg's QR solve applied
+    to the diagonal block r[lo:hi, lo:hi] with a per-column scale, in a
+    loop: numpy's diag/where machinery costs more than k <= w + 1 scalars."""
+    tol = max(n, hi - lo) * _EPS
+    for i in range(lo, hi):
+        if abs(r[i, i]) <= tol * scale[i]:
+            return i
+    return None
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
@@ -250,7 +268,7 @@ def fit_monolithic(ds: Dataset, reference_level: str | None = None) -> Partition
     the rank check, sigma^2, gamma and R^2 come from
     ``build_design(ds, reference_level)``."""
     design = build_design(ds, reference_level)
-    dummy = [label == design.group_labels[1] for label in ds.group_labels]
+    dummy = ds.in_second if design.group_labels[1] == ds.levels[1] else ~ds.in_second
     x = np.column_stack([np.ones(ds.n_rows), dummy, *(col for _, col in ds.covariates)])
     coef = linalg.qr_least_squares(x, ds.response)
     return _finish_fit(design, coef[:2], coef[2:])
@@ -316,7 +334,18 @@ def group_summaries(design: PartitionedDesign, delta2) -> tuple[GroupSummary, Gr
     ||R_j v||^2; the raw scale is v = [0; 1].
     """
     w = design.w
-    v = np.append(-linalg.as_vector(delta2, "delta2"), 1.0)
+    delta2 = np.asarray(delta2, dtype=float)
+    if delta2.ndim == 2 and delta2.shape[1] == 1:
+        delta2 = delta2.ravel()
+    if delta2.ndim != 1:
+        raise DimensionMismatchError(f"delta2 must be 1-D, got shape {delta2.shape}")
+    if len(delta2) != w:
+        raise ValueError(f"delta2 has {len(delta2)} entries for {w} covariate(s)")
+    if not np.isfinite(delta2).all():
+        raise ValueError("delta2 contains NaN or Inf entries")
+    v = np.empty(w + 1)
+    np.negative(delta2, out=v[:w])
+    v[w] = 1.0
     out = []
     for n_rows, mean, factor in zip((design.n1, design.n2), design.means, design.factors):
         raw, adj = factor[:, w], factor @ v
@@ -330,11 +359,9 @@ def require_residual(design: PartitionedDesign) -> None:
     group and the covariates: |R_ww|, the root of the residual sum of
     squares, is at or below the rank check's rounding level for y."""
     w = design.w
-    try:
-        linalg._check_r_diagonal(design.r[w:, w:], design.n, scale=design.norms[w:])
-    except RankDeficientError:
+    if _first_negligible(design.r, design.n, design.norms, w, w + 1) is not None:
         raise ZeroVarianceError("the response is a linear function of the group and "
-                                "the covariates; no residual variance is left") from None
+                                "the covariates; no residual variance is left")
 
 
 def r_squared_pair(design: PartitionedDesign) -> tuple[float, float]:

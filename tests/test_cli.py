@@ -117,6 +117,13 @@ class TestEffectCommand:
         assert doc["effect"]["d"] == pytest.approx(-0.3016013, rel=1e-6)
         assert doc["data_summary"]["dummy_mapping"] == {"M": 0, "F": 1}
 
+    @pytest.mark.parametrize("command", ["effect", "fit"])
+    def test_reference_level_that_is_no_label_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, *student_args(), "--ref-level", "m")
+        assert (code, out) == (2, "")
+        assert err == ("error: GroupTooSmallError: reference level 'm' is not a group label; "
+                       "the labels are 'F' and 'M'\n")
+
     def test_missing_file_exits_2_without_output(self, capsys):
         code, out, err = run(
             capsys, "effect", "--data", "no_such_file.csv",

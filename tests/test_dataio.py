@@ -1,12 +1,14 @@
 import csv
 import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupeffect import Dataset, dataio, histogram, load_column, load_csv
+from groupeffect import (Dataset, build_design, dataio, effect_report, fit_fwl, fit_monolithic,
+                         histogram, load_column, load_csv)
 from groupeffect.dataio import _parse_number, _read
 from groupeffect.errors import (
     DataError,
@@ -452,6 +454,42 @@ class TestDatasetValidation:
     def test_not_binary(self):
         with pytest.raises(NotBinaryGroupError):
             Dataset(response=np.arange(4.0), group_labels=("a", "a", "a", "a"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["response", "x1", "x2"])
+    def test_non_finite_column_raises_at_construction(self, column, bad):
+        cols = {name: np.arange(6.0) ** (j + 1) for j, name in enumerate(["response", "x1", "x2"])}
+        cols[column][4] = bad
+        with pytest.raises(ValueError, match=f"^{column} contains NaN or Inf"):
+            Dataset(response=cols["response"], group_labels=("a", "b") * 3,
+                    covariates=(("x1", cols["x1"]), ("x2", cols["x2"])))
+
+    @pytest.mark.parametrize("form", ["list", "int", "column"])
+    def test_columns_are_stored_as_float_vectors(self, form):
+        rng = np.random.default_rng(124)
+        y, x = rng.integers(-50, 50, size=(2, 30))
+        labels = tuple(rng.choice(["a", "b"], size=30).tolist())
+        convert = {"list": lambda v: v.tolist(), "int": lambda v: v,
+                   "column": lambda v: v.astype(float).reshape(-1, 1)}[form]
+        got = Dataset(response=convert(y), group_labels=labels, covariates=(("x", convert(x)),))
+        want = Dataset(response=y.astype(float), group_labels=labels,
+                       covariates=(("x", x.astype(float)),))
+        for col in (got.response, got.covariates[0][1]):
+            assert col.dtype == np.float64 and col.ndim == 1
+        for fit in (lambda ds: fit_fwl(build_design(ds)), fit_monolithic):
+            a, b = fit(got), fit(want)
+            assert [np.asarray(v).tobytes() for v in astuple(a)] == \
+                [np.asarray(v).tobytes() for v in astuple(b)]
+        assert effect_report(build_design(got), fit_fwl(build_design(got))) == \
+            effect_report(build_design(want), fit_fwl(build_design(want)))
+
+    def test_replace_codes_the_groups_anew(self):
+        ds = Dataset(response=np.arange(4.0), group_labels=("b", "a", "a", "b"))
+        assert ds.levels == ("a", "b")
+        np.testing.assert_array_equal(ds.in_second, [True, False, False, True])
+        swapped = replace(ds, group_labels=("b", "c", "c", "b"))
+        assert swapped.levels == ("b", "c")
+        np.testing.assert_array_equal(swapped.in_second, [False, True, True, False])
 
 
 class TestHistogram:

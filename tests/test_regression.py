@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from groupeffect import (
 from groupeffect import linalg, regression
 from groupeffect.errors import (
     DegenerateResponseError,
+    DimensionMismatchError,
     GroupTooSmallError,
     InsufficientRowsError,
     NonPositiveDfError,
@@ -123,6 +124,73 @@ class TestBuildDesign:
         )
         d = build_design(ds)
         assert coefficient_names(d) == ["(intercept)", "group[b]", "age"]
+
+
+class _CountingLabels(tuple):
+    """Group labels that count how often they are iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def _bits(value):
+    """The bytes of every array in a design or fit field, for bitwise checks."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return np.asarray(value).tobytes()
+
+
+class TestFixedCost:
+    """The Dataset checks its columns and codes its groups once; the path
+    from build_design to effect_report repeats neither."""
+
+    @pytest.mark.parametrize("reference_level", [None, "a", "b"])
+    def test_build_design_does_not_walk_the_labels(self, monkeypatch, reference_level):
+        base = make_dataset(np.random.default_rng(122), n=40, w=2)
+        monkeypatch.setattr(_CountingLabels, "iterations", 0)
+        ds = replace(base, group_labels=_CountingLabels(base.group_labels))
+        assert _CountingLabels.iterations > 0  # construction walks them
+        monkeypatch.setattr(_CountingLabels, "iterations", 0)
+        design = build_design(ds, reference_level)
+        effect_report(design, fit_fwl(design))
+        assert _CountingLabels.iterations == 0
+
+    def test_no_linalg_checks_from_design_to_report(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        ds = make_dataset(np.random.default_rng(123), n=60, w=3)
+        for name in ("as_vector", "_check_r_diagonal"):
+            monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+        for reference_level in (None, "b"):
+            design = build_design(ds, reference_level)
+            effect_report(design, fit_fwl(design))
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reference_level_matches_relabelling_bit_for_bit(self, seed):
+        ds = make_dataset(np.random.default_rng(seed))
+        first, second = ds.levels
+        # renaming the first label to sort after the second swaps the groups
+        renamed = second + "~"
+        relabelled = replace(ds, group_labels=tuple(
+            renamed if label == first else label for label in ds.group_labels))
+        assert relabelled.levels == (second, renamed)
+        got, want = build_design(ds, reference_level=second), build_design(relabelled)
+        assert got.group_labels == (second, first)
+        for f in fields(got):
+            if f.name != "group_labels":
+                assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+        assert (_bits(astuple(fit_monolithic(ds, second)))
+                == _bits(astuple(fit_monolithic(relabelled))))
 
 
 class TestFits:
@@ -439,6 +507,21 @@ class TestGroupSummariesAndR2:
         assert (g1.n_rows, g2.n_rows) == (2, 3)
         assert g1.mean_raw == 3.0 and g2.mean_raw == 7.0
         assert g1.ss_raw == 0.0 and g2.ss_raw == 0.0
+
+    def test_delta2_is_checked(self):
+        design = make_design(np.random.default_rng(125), n=30, w=2)
+        delta2 = fit_fwl(design).delta2_hat
+        want = group_summaries(design, delta2)
+        assert group_summaries(design, delta2.tolist()) == want
+        assert group_summaries(design, delta2.reshape(-1, 1)) == want
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                group_summaries(design, [delta2[0], bad])
+        with pytest.raises(DimensionMismatchError):
+            group_summaries(design, delta2.reshape(1, 1, 2))
+        for wrong_length in (delta2[:1], np.append(delta2, 0.0)):
+            with pytest.raises(ValueError):
+                group_summaries(design, wrong_length)
 
     @pytest.mark.parametrize("fitter", FITTERS)
     @settings(derandomize=True, max_examples=60, deadline=None)
