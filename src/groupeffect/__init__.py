@@ -5,7 +5,9 @@ Workflow: load a delimited file into a :class:`Dataset`, build its
 :func:`effect_report`. :func:`build_design` reads the n rows once; the
 design holds only the group counts, each group's means and factor R_j,
 their pooled factor R and the column norms, and the fit, the report and
-the standard errors read only those. :func:`fit_monolithic` solves the
+the standard errors read only those. :func:`stream_design` builds the same
+design from a file as it is read, without a Dataset, in memory that does
+not grow with the file; the CLI uses it. :func:`fit_monolithic` solves the
 full design of a dataset instead and is kept as a cross-check.
 """
 
@@ -39,6 +41,7 @@ from .regression import (
     group_summaries,
     r_squared_pair,
     standard_errors,
+    stream_design,
 )
 
 __version__ = "0.1.0"
@@ -70,6 +73,7 @@ __all__ = [
     "r_squared_pair",
     "regularized_incomplete_beta",
     "standard_errors",
+    "stream_design",
     "t_from_d",
     "t_two_sided_p",
 ]

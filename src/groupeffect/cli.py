@@ -28,10 +28,11 @@ from .dataio import histogram, load_column, load_csv
 from .distributions import f_upper_p, t_two_sided_p
 from .effects import d_from_beta, effect_report, f_squared_from_r2
 from .errors import DataError, NumericError
-# fit_monolithic and group_summaries are not called here: both subcommands
-# fit by FWL, and the reports reuse EffectReport.groups, which effect_report
-# reads off the design's per-group factors. They stay importable as
-# cli.fit_monolithic and cli.group_summaries, the names bench/spans.py traces.
+# load_csv, build_design, fit_monolithic and group_summaries are not called
+# here: effect and fit build the design with stream_design as the file is
+# read, both fit by FWL, and the reports reuse EffectReport.groups, which
+# effect_report reads off the design's per-group factors. They stay
+# importable as cli.load_csv, ..., the names bench/spans.py traces.
 from .regression import (
     build_design,
     coefficient_names,
@@ -39,6 +40,7 @@ from .regression import (
     fit_monolithic,
     group_summaries,
     standard_errors,
+    stream_design,
 )
 
 EXIT_OK = 0
@@ -170,12 +172,21 @@ def _config_dict(config: AnalysisConfig) -> dict:
     }
 
 
-def _data_summary(ds, design) -> dict:
+@dataclass(frozen=True)
+class _Rows:
+    """What the reader kept of the input file and what it dropped."""
+
+    source: str
+    used: int
+    dropped: int
+
+
+def _data_summary(rows, design) -> dict:
     g1, g2 = design.group_labels
     return {
-        "source": ds.source,
-        "rows_used": ds.n_rows,
-        "dropped_rows": ds.dropped_rows,
+        "source": rows.source,
+        "rows_used": rows.used,
+        "dropped_rows": rows.dropped,
         "group1": g1,
         "group2": g2,
         "n1": design.n1,
@@ -187,16 +198,17 @@ def _data_summary(ds, design) -> dict:
 
 
 def _analyze(config: AnalysisConfig):
-    ds = load_csv(
+    design, used, dropped = stream_design(
         config.input_path,
         response_col=config.response_col,
         group_col=config.group_col,
         covariate_cols=config.covariate_cols,
         delimiter=config.delimiter,
+        reference_level=config.reference_level,
     )
-    design = build_design(ds, reference_level=config.reference_level)
     fit = fit_fwl(design)
-    return ds, design, fit, effect_report(design, fit)
+    rows = _Rows(str(config.input_path), used, dropped)
+    return rows, design, fit, effect_report(design, fit)
 
 
 def _coefficient_rows(design, fit):
@@ -208,7 +220,7 @@ def _coefficient_rows(design, fit):
         yield name, float(est), float(se), tv, t_two_sided_p(tv, design.df)
 
 
-def _report_json(config, ds, design, fit, report) -> dict:
+def _report_json(config, rows, design, fit, report) -> dict:
     table = [
         {"name": name, "estimate": est, "std_error": se, "t_value": tv, "p_value": pv}
         for name, est, se, tv, pv in _coefficient_rows(design, fit)
@@ -223,7 +235,7 @@ def _report_json(config, ds, design, fit, report) -> dict:
     }
     return {
         "config": _config_dict(config),
-        "data_summary": _data_summary(ds, design),
+        "data_summary": _data_summary(rows, design),
         "coefficients": {
             "table": table,
             "sigma_hat": math.sqrt(fit.sigma2_hat),
@@ -265,13 +277,13 @@ def _report_json(config, ds, design, fit, report) -> dict:
     }
 
 
-def _effect_text(config, ds, design, fit, report) -> str:
+def _effect_text(config, rows, design, fit, report) -> str:
     p = config.precision
     g1_label, g2_label = design.group_labels
     g1, g2 = report.groups
     kind = "classic" if design.w == 0 else "covariate-adjusted"
     lines = [
-        f"data: {ds.source} ({ds.n_rows} rows used, {ds.dropped_rows} dropped)",
+        f"data: {rows.source} ({rows.used} rows used, {rows.dropped} dropped)",
         f"groups: {g1_label} (n={design.n1}) vs {g2_label} (n={design.n2}); "
         f"dummy = 1 for {g2_label}",
         f"covariates: {', '.join(design.covariate_names) or '(none)'} (w={design.w})",
@@ -290,11 +302,11 @@ def _effect_text(config, ds, design, fit, report) -> str:
     return "\n".join(lines)
 
 
-def _fit_text(config, ds, design, fit, report) -> str:
+def _fit_text(config, rows, design, fit, report) -> str:
     p = config.precision
     width = max(map(len, coefficient_names(design))) + 2
     lines = [
-        f"data: {ds.source} ({ds.n_rows} rows used, {ds.dropped_rows} dropped)",
+        f"data: {rows.source} ({rows.used} rows used, {rows.dropped} dropped)",
         f"{'coefficient':<{width}}{'estimate':>14}{'std.error':>14}"
         f"{'t value':>12}{'p value':>14}",
     ]
@@ -313,12 +325,12 @@ def _fit_text(config, ds, design, fit, report) -> str:
 def cmd_model(config: AnalysisConfig, command: str) -> int:
     """Run ``effect`` or ``fit``: the same analysis and JSON document; the
     command chooses only the text renderer."""
-    ds, design, fit, report = _analyze(config)
+    rows, design, fit, report = _analyze(config)
     if config.output_format == "json":
-        print(json.dumps(_report_json(config, ds, design, fit, report), indent=2))
+        print(json.dumps(_report_json(config, rows, design, fit, report), indent=2))
     else:
         render = _effect_text if command == "effect" else _fit_text
-        print(render(config, ds, design, fit, report))
+        print(render(config, rows, design, fit, report))
     return EXIT_OK
 
 

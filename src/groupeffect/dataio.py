@@ -8,16 +8,20 @@ Numeric cells are decimal literals with an optional exponent ("2.5E-3").
 Rows with a missing, non-numeric or overflowing ("1e999") cell in any
 selected column are dropped and counted.
 
-Both loaders share one reader. It takes the rows in blocks of 64 and drops
-rows too short to reach a selected column or with an empty group label. It
-then checks the block's selected cells at once on their "|"-joined text and
+One reader, :func:`scan_csv`, serves both loaders here and
+``regression.stream_design``, which builds a design as the file is read
+without holding its rows. It takes the rows in blocks of 64 and drops rows
+too short to reach a selected column or with an empty group label. It then
+checks the block's selected cells at once on their "|"-joined text and
 converts them with one np.fromiter. Where the check fails, one scan of that
 text finds each row it rejects: the rows before it are converted at once,
 that row alone goes through the per-cell regex, and the scan goes on from
-the next row. One check of the loaded values drops the rows holding a
-cell that overflowed to inf. The result is the same as parsing cell by
-cell. A leading UTF-8 BOM is skipped. A selected column name that occurs
-more than once in the header is an error, and so is a column selected twice.
+the next row. Each run of kept rows goes to the caller as it is converted.
+The loaders keep the runs and, at the end, drop the rows holding a cell
+that overflowed to inf; the stream drops them as it stages them. The result
+is the same as parsing cell by cell. A leading UTF-8 BOM is skipped. A
+selected column name that occurs more than once in the header is an error,
+and so is a column selected twice.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
 )
 from .linalg import as_vector
 
-__all__ = ["Dataset", "load_csv", "load_column", "histogram"]
+__all__ = ["Dataset", "load_csv", "load_column", "histogram", "scan_csv"]
 
 # integer and decimal literals with an optional decimal exponent; anything
 # else (and a value that overflows to inf) drops the row
@@ -85,10 +89,7 @@ class Dataset:
             len(col) != n for _, col in self.covariates
         ):
             raise ValueError("response, group and covariate columns differ in length")
-        if n < 4:
-            raise EmptyAfterFilteringError(
-                f"only {n} usable row(s) in {self.source}; need at least 4"
-            )
+        require_rows(n, self.source)
         labels = sorted(set(self.group_labels))
         if len(labels) != 2:
             raise NotBinaryGroupError(labels)
@@ -110,6 +111,17 @@ class Dataset:
         return len(self.covariates)
 
 
+def require_rows(n: int, source, dropped: int | None = None) -> None:
+    """Raise EmptyAfterFilteringError unless ``source`` has 4 usable rows;
+    for a file that kept none, the message counts the ``dropped`` rows."""
+    if n == 0 and dropped is not None:
+        raise EmptyAfterFilteringError(
+            f"no usable rows in {source} after dropping {dropped} incomplete row(s)"
+        )
+    if n < 4:
+        raise EmptyAfterFilteringError(f"only {n} usable row(s) in {source}; need at least 4")
+
+
 def _parse_number(cell: str) -> float | None:
     cell = cell.strip()
     if not _NUMERIC_RE.match(cell):
@@ -126,25 +138,26 @@ def _float_or_nan(cell: str) -> float:
         return float("nan")
 
 
-def _read(path, numeric_cols, group_col, delimiter):
-    """Shared reader behind load_csv and load_column.
-
-    Returns (values, labels, dropped): ``values`` is an (m, k) float64 array
-    of the k ``numeric_cols`` for the m kept rows, ``labels`` the kept rows'
-    ``group_col`` cells (empty when ``group_col`` is None). Bytes that are
-    not UTF-8 and rows the csv module rejects (such as a field over
+def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
+    """The block reader behind every loader: parse the selected columns of
+    ``path`` and pass each run of kept rows, in file order, to
+    ``take(values, labels)``. ``values`` is a flat float64 array, the
+    ``numeric_cols`` cells of each row in turn; ``labels`` iterates over the
+    rows' ``group_col`` cells (it is empty when ``group_col`` is None).
+    Returns the number of rows dropped. A cell that overflows ("1e999")
+    passes as inf; dropping its row is the caller's. Bytes that are not
+    UTF-8 and rows the csv module rejects (such as a field over
     ``csv.field_size_limit()``) raise DataError.
 
-    Rows are read in blocks of ``_BLOCK_ROWS``. Each block's cells are joined
-    once and scanned from left to right for the first cell outside the
-    ``_BLOCK_RE`` alphabet or empty; the rows before it are converted with one
-    np.fromiter, its row alone goes through ``_parse_number``, and the scan
-    resumes at the next row. A run that passes the scan but holds a cell
-    float() rejects (" ", "+-1") is converted cell by cell once, dropping the
-    rows with such a cell. So each cell is scanned once and converted at
-    most twice, and a row the scan stops at costs one ``_parse_number`` call
-    per cell. A cell that overflows ("1e999") passes the scan and reads as
-    inf; one np.isfinite over the loaded values drops its row.
+    Rows are read in blocks of ``_BLOCK_ROWS``, so a run holds at most that
+    many rows. Each block's cells are joined once and scanned from left to
+    right for the first cell outside the ``_BLOCK_RE`` alphabet or empty;
+    the rows before it are converted with one np.fromiter, its row alone
+    goes through ``_parse_number``, and the scan resumes at the next row. A
+    run that passes the scan but holds a cell float() rejects (" ", "+-1")
+    is converted cell by cell once, dropping the rows with such a cell. So
+    each cell is scanned once and converted at most twice, and a row the
+    scan stops at costs one ``_parse_number`` call per cell.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DataError(f"delimiter must be one character, got {delimiter!r}")
@@ -183,24 +196,23 @@ def _read(path, numeric_cols, group_col, delimiter):
                 vals = list(map(_parse_number, cells))
                 return None if None in vals else np.array(vals)
 
-            blocks, labels, dropped = [], [], 0
+            def labels_of(rows):
+                return [] if label is None else list(map(label, rows))
 
-            def take(vals, rows):
-                blocks.append(vals)
-                if label is not None:
-                    labels.extend(map(label, rows))
-
+            dropped = 0
             for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
                 try:
-                    cells = cells_of(rows)
-                    all_complete = label is None or all(map(label, rows))
+                    cells, labels = cells_of(rows), labels_of(rows)
+                    all_complete = all(labels)
                 except IndexError:
                     all_complete = False
                 if not all_complete:  # drop short rows and empty labels first
-                    kept = list(filter(complete, rows))
-                    dropped += len(rows) - len(kept)
-                    rows, cells = kept, cells_of(kept)
-                if not rows:
+                    read, rows = len(rows), list(filter(complete, rows))
+                    dropped += read - len(rows)
+                    cells, labels = cells_of(rows), labels_of(rows)
+                n = len(rows)
+                del rows  # the selected cells are all that is read from here on
+                if not n:
                     continue
                 # "|" before each cell and after the last, so an empty cell is
                 # a "||"; a cell holding "|" is masked to keep the count exact
@@ -209,29 +221,29 @@ def _read(path, numeric_cols, group_col, delimiter):
                     text = "|".join([c.replace("|", "\0") for c in cells])
                 text = f"|{text}|"
                 r = off = 0  # text[off] is the "|" before the first cell of row r
-                while r < len(rows):
+                while r < n:
                     # the first empty cell, else the first character outside
-                    # the alphabet; s is its row, or len(rows) if there is none
+                    # the alphabet; s is its row, or n if there is none
                     end = _BLOCK_RE.match(text, off).end()
                     stop = text.find("||", off, end) + 1 or end
-                    s = (len(rows) if stop == len(text)
+                    s = (n if stop == len(text)
                          else r + (text.count("|", off, stop) - 1) // k)
                     if s > r:
                         run = cells[r * k:s * k]
                         try:
-                            take(np.fromiter(map(float, run), float, len(run)), rows[r:s])
+                            take(np.fromiter(map(float, run), float, len(run)), labels[r:s])
                         except ValueError:  # " ", "+-1", "1.2.3": float() alone rejects
                             vals = np.fromiter(map(_float_or_nan, run), float,
                                                len(run)).reshape(-1, k)
                             ok = ~np.isnan(vals).any(axis=1)
                             dropped += len(ok) - int(ok.sum())
-                            take(vals[ok].reshape(-1), compress(rows[r:s], ok))
-                    if s < len(rows):
+                            take(vals[ok].reshape(-1), compress(labels[r:s], ok))
+                    if s < n:
                         vals = exact(cells[s * k:(s + 1) * k])
                         if vals is None:
                             dropped += 1
                         else:
-                            take(vals, rows[s:s + 1])
+                            take(vals, labels[s:s + 1])
                         off += sum(map(len, cells[r * k:(s + 1) * k])) + (s + 1 - r) * k
                     r = s + 1
     except UnicodeDecodeError as exc:
@@ -239,7 +251,26 @@ def _read(path, numeric_cols, group_col, delimiter):
                         f"(byte 0x{exc.object[exc.start]:02x})") from None
     except csv.Error as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    return dropped
 
+
+def _read(path, numeric_cols, group_col, delimiter):
+    """Shared reader behind load_csv and load_column.
+
+    Returns (values, labels, dropped): ``values`` is an (m, k) float64 array
+    of the k ``numeric_cols`` for the m kept rows, ``labels`` the kept rows'
+    ``group_col`` cells (empty when ``group_col`` is None). The runs
+    :func:`scan_csv` passes on are joined at the end, and one np.isfinite
+    over them drops the rows holding a cell that overflowed to inf.
+    """
+    blocks, labels = [], []
+
+    def take(vals, row_labels):
+        blocks.append(vals)
+        labels.extend(row_labels)
+
+    dropped = scan_csv(path, numeric_cols, group_col, delimiter, take)
+    k = len(numeric_cols)
     values = np.concatenate(blocks).reshape(-1, k) if blocks else np.empty((0, k))
     blocks.clear()  # so the finiteness check's temporary does not raise the peak
     if not np.isfinite(values).all():
@@ -281,10 +312,7 @@ def load_csv(
     values, labels, dropped = _read(
         path, [response_col, *covariate_cols], group_col, delimiter
     )
-    if not len(values):
-        raise EmptyAfterFilteringError(
-            f"no usable rows in {path} after dropping {dropped} incomplete row(s)"
-        )
+    require_rows(len(values), path, dropped)
     # contiguous columns: reductions over a strided view may sum in another order
     columns = [np.ascontiguousarray(values[:, j]) for j in range(values.shape[1])]
     return Dataset(

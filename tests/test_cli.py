@@ -3,12 +3,14 @@ import csv
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from groupeffect import cli
+from groupeffect import build_design, cli, effect_report, fit_fwl, load_csv, regression
 from groupeffect.cli import main
+from groupeffect.errors import DataError, NumericError
 
 from conftest import student_csv_path
 
@@ -499,6 +501,134 @@ class TestNumericCells:
         assert code == 0 and err == ""
         summary = json.loads(out)["data_summary"]
         assert summary["rows_used"] == 5 and summary["dropped_rows"] == 1
+
+
+def dataset_path_outcome(path, covariates=(), reference_level=None):
+    """(exit code, stderr, Dataset or None) of ``effect`` run through a
+    Dataset: load_csv, build_design, fit_fwl and effect_report, each error
+    mapped as main maps it."""
+    try:
+        ds = load_csv(path, response_col="y", group_col="g", covariate_cols=covariates)
+        design = build_design(ds, reference_level=reference_level)
+        effect_report(design, fit_fwl(design))
+    except DataError as exc:
+        return 2, f"error: {type(exc).__name__}: {exc}\n", None
+    except (NumericError, ValueError) as exc:
+        return 3, f"error: {type(exc).__name__}: {exc}\n", None
+    return 0, "", ds
+
+
+def _rows(*labels_and_values):
+    return "".join(f"{label};{y};{x}\n" for label, y, x in labels_and_values)
+
+
+# file text, --ref-level, the stderr both paths give
+STREAMING_ERRORS = {
+    "third_label": (
+        "g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("C", 3, 2), ("A", 4, 5), ("B", 5, 1)),
+        None, "NotBinaryGroupError: group column must have exactly 2 distinct values, "
+              "got ['A', 'B', 'C']"),
+    "third_label_after_full_flushes": (
+        "g;y;x\n" + _rows(*((("A", "B")[i % 2], i % 7, i % 5) for i in range(800)))
+        + _rows(("C", 1, 1)),
+        None, "NotBinaryGroupError: group column must have exactly 2 distinct values, "
+              "got ['A', 'B', 'C']"),
+    "three_usable_rows": (
+        "g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("A", 3, 2), ("B", "", 1)),
+        None, "EmptyAfterFilteringError: only 3 usable row(s) in {path}; need at least 4"),
+    "no_usable_rows": (
+        "g;y;x\n" + _rows(("A", "", 1), ("B", "x", 3)),
+        None, "EmptyAfterFilteringError: no usable rows in {path} after dropping 2 "
+              "incomplete row(s)"),
+    "one_row_group": (
+        "g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("B", 3, 2), ("B", 4, 5), ("B", 5, 1)),
+        None, "GroupTooSmallError: group 'A' has only 1 row(s); need at least 2"),
+    "reference_level_no_label": (
+        "g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("A", 3, 2), ("B", 4, 5), ("A", 2, 2)),
+        "Z", "GroupTooSmallError: reference level 'Z' is not a group label; the labels "
+             "are 'A' and 'B'"),
+    "reference_level_before_group_size": (
+        "g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("B", 3, 2), ("B", 4, 5), ("B", 5, 1)),
+        "Z", "GroupTooSmallError: reference level 'Z' is not a group label; the labels "
+             "are 'A' and 'B'"),
+    "overflow_leaves_three_rows": (
+        "g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("A", "1e999", 2), ("B", 4, 5)),
+        None, "EmptyAfterFilteringError: only 3 usable row(s) in {path}; need at least 4"),
+}
+
+
+class TestStreamingErrors:
+    """effect and fit build their design as the file is read; every error
+    must be the one, in the same order, that loading a Dataset gives."""
+
+    @pytest.mark.parametrize("case", sorted(STREAMING_ERRORS))
+    @pytest.mark.parametrize("command", ["effect", "fit"])
+    def test_same_exit_code_and_stderr(self, capsys, tmp_path, case, command):
+        text, reference_level, message = STREAMING_ERRORS[case]
+        path = tmp_path / f"{case}.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, "--data", str(path), "--response", "y", "--group", "g",
+                "--covariates", "x"]
+        if reference_level is not None:
+            argv += ["--ref-level", reference_level]
+        code, out, err = run(capsys, *argv)
+        want_code, want_err, _ = dataset_path_outcome(path, ["x"], reference_level)
+        assert (code, out, err) == (want_code, "", want_err)
+        assert err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("text, kept_labels", [
+        # a counted overflow row, in the first staged block and at a later one
+        ("g;y;x\n" + _rows(("A", 1, 1), ("B", 2, 3), ("A", "1e999", 2), ("B", 4, 5),
+                           ("A", 5, 1), ("B", 7, 2), ("A", 2, 2)), ["A", "B"]),
+        ("g;y;x\n" + _rows(*((("A", "B")[i % 3 == 0], i % 11, "1e999" if i == 500 else i % 4)
+                             for i in range(700))), ["A", "B"]),
+        # a label whose only row overflows is no label: B against C
+        ("g;y;x\n" + _rows(("A", "1e999", 1), ("B", 2, 3), ("C", 3, 2), ("B", 4, 5),
+                           ("C", 5, 1), ("B", 7, 2), ("C", 2, 2)), ["B", "C"]),
+    ])
+    def test_overflowing_row_is_dropped_and_counted(self, capsys, tmp_path, text, kept_labels):
+        path = tmp_path / "overflow.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "effect", "--data", str(path), "--response", "y",
+                             "--group", "g", "--covariates", "x", "--format", "json")
+        want_code, want_err, ds = dataset_path_outcome(path, ["x"])
+        assert (code, err) == (want_code, want_err) == (0, "")
+        summary = json.loads(out)["data_summary"]
+        assert (summary["rows_used"], summary["dropped_rows"]) == (ds.n_rows, ds.dropped_rows)
+        assert summary["dropped_rows"] == 1
+        assert [summary["group1"], summary["group2"]] == kept_labels
+
+
+class TestStreamingMemory:
+    def test_effect_peak_does_not_grow_with_n(self, capsys, tmp_path):
+        # effect folds each staged block into per-label factors as the file
+        # is read, so at w = 10 a run over 2e5 rows must peak within one
+        # staging buffer (33.8 KB at 384 rows) of a run over 1e5; holding
+        # the rows, as loading a Dataset does, adds about 20 MB per 1e5
+        # rows. One-digit cells keep the files small and quick to write.
+        n, w = 200_000, 10
+        digits = np.random.default_rng(140).integers(0, 10, (n, w + 2)).tolist()
+        lines = [f"{'ab'[row[0] % 2]};{';'.join(map(str, row[1:]))}\n" for row in digits]
+        names = [f"x{j}" for j in range(w)]
+        peaks = []
+        run(capsys, "effect", *student_args(), "--format", "json")  # first-call caches
+        for rows in (n // 2, n):
+            path = tmp_path / f"rows{rows}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(";".join(["g", "y", *names]) + "\n")
+                fh.writelines(lines[:rows])
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, "effect", "--data", str(path), "--response", "y",
+                                     "--group", "g", "--covariates", ",".join(names),
+                                     "--format", "json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (code, err) == (0, "")
+            assert json.loads(out)["data_summary"]["rows_used"] == rows
+        stage = 8 * regression._STAGE_ROWS * (w + 1)
+        assert abs(peaks[1] - peaks[0]) < stage, [f"{p / 1e3:.1f} KB" for p in peaks]
 
 
 class _ClosedStdout:

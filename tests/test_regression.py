@@ -683,3 +683,154 @@ class TestLinearMemory:
                 tracemalloc.stop()
             peaks.append(peak)
         assert max(peaks) - min(peaks) < 8 * ds.n_rows, [f"{p / 1e6:.2f} MB" for p in peaks]
+
+
+def fold_in_chunks(ds, bounds, reference_level=None):
+    """The design of ``ds`` pushed through the stream of ``stream_design``
+    in file order, in runs of at most 64 rows as the reader passes them,
+    each chunk (ending at one of ``bounds``) flushed, and so folded, on its
+    own; a chunk longer than the staging buffer also flushes where the
+    buffer fills."""
+    values = np.column_stack([ds.response, *(col for _, col in ds.covariates)])
+    stream = regression._Stream(ds.n_covariates + 1)
+    for lo, hi in zip([0, *bounds], [*bounds, ds.n_rows]):
+        for start in range(lo, hi, 64):
+            end = min(start + 64, hi)
+            stream.push(values[start:end].ravel(), ds.group_labels[start:end])
+        stream.flush()
+    names = tuple(name for name, _ in ds.covariates)
+    return stream.design(names, reference_level, ds.source, 0)
+
+
+def pivot_norms(ds, pivot_row):
+    """The column norms of [X2 | y] less the ``pivot_row``-th row, from their
+    definition."""
+    data = np.column_stack([*(col for _, col in ds.covariates), ds.response])
+    return np.sqrt(((data - data[pivot_row]) ** 2).sum(axis=0))
+
+
+def assert_same_statistics(got, want, rtol=1e-12):
+    """The fields a design's fit, report and standard errors read agree to
+    ``rtol``, each cross-product matrix relative to its diagonal."""
+    assert (got.n1, got.n2, got.group_labels) == (want.n1, want.n2, want.group_labels)
+
+    def gram_close(a, b):
+        ga, gb = a.T @ a, b.T @ b
+        scale = np.sqrt(np.outer(np.diag(gb), np.diag(gb)))
+        assert np.all(np.abs(ga - gb) <= rtol * scale), np.max(np.abs(ga - gb) / scale)
+
+    for a, b in zip(got.means, want.means):
+        np.testing.assert_allclose(a, b, rtol=rtol)
+    spread = np.sqrt(np.diag(want.r.T @ want.r) / want.n)
+    assert np.all(np.abs(got.diff - want.diff) <= rtol * (np.abs(want.diff) + spread))
+    for a, b in zip(got.factors, want.factors):
+        gram_close(a, b)
+    gram_close(got.r, want.r)
+
+
+class TestStreamedFold:
+    """The stream folds each flushed chunk into its label's count, mean and
+    R; whatever the chunks, the design must be build_design's one-shot
+    design to rounding. The norms are taken less the first row each feeder
+    sees: the file's first row for the stream, group 1's for build_design."""
+
+    @staticmethod
+    def check(ds, bounds, reference_level=None):
+        got = fold_in_chunks(ds, bounds, reference_level)
+        want = build_design(ds, reference_level)
+        assert_same_statistics(got, want)
+        first_of_group1 = ds.group_labels.index(want.group_labels[0])
+        np.testing.assert_allclose(got.norms, pivot_norms(ds, 0), rtol=1e-12)
+        np.testing.assert_allclose(want.norms, pivot_norms(ds, first_of_group1), rtol=1e-12)
+        return got, want
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 300), w=st.integers(0, 5),
+           cuts=st.lists(st.floats(0, 1), max_size=8), offset=st.sampled_from([0.0, 1e13]))
+    def test_matches_one_shot_design(self, seed, n, w, cuts, offset):
+        ds = make_dataset(np.random.default_rng(seed), n=n, w=w)
+        ds = replace(ds, covariates=tuple((name, col + offset) for name, col in ds.covariates))
+        bounds = sorted({int(c * ds.n_rows) for c in cuts} - {0, ds.n_rows})
+        self.check(ds, bounds)
+
+    def test_one_row_chunks(self):
+        ds = make_dataset(np.random.default_rng(130), n=150, w=3)
+        self.check(ds, range(1, ds.n_rows))
+
+    def test_chunk_holding_one_label(self):
+        # rows 40-99 are all "a", rows 100-139 all "b"; chunks [40, 100) and
+        # [100, 140) each fold into one group only
+        ds = make_dataset(np.random.default_rng(131), n=200, w=2)
+        labels = list(ds.group_labels)
+        labels[40:100], labels[100:140] = ["a"] * 60, ["b"] * 40
+        ds = replace(ds, group_labels=tuple(labels))
+        self.check(ds, [40, 100, 140])
+
+    @pytest.mark.parametrize("reference_level", [None, "a", "b"])
+    def test_first_row_in_group_two(self, reference_level):
+        # the first row, a "b" row, is the stream's pivot, where
+        # build_design takes group 1's first row; the first chunk holds
+        # both labels
+        ds = make_dataset(np.random.default_rng(132), n=120, w=3)
+        first_b = ds.group_labels.index("b")
+        order = [first_b, *(i for i in range(ds.n_rows) if i != first_b)]
+        ds = replace(ds, response=ds.response[order],
+                     group_labels=tuple(ds.group_labels[i] for i in order),
+                     covariates=tuple((name, col[order]) for name, col in ds.covariates))
+        assert ds.group_labels[0] == "b" and "a" in ds.group_labels[:7]
+        got, want = self.check(ds, [7, 64, 65], reference_level)
+        assert got.group_labels == want.group_labels
+
+    def test_large_covariate_offsets(self):
+        # the shift by the first row is exact for a column near 1e13, so the
+        # centered cross products keep their digits in either feeder
+        ds = make_dataset(np.random.default_rng(133), n=400, w=4)
+        ds = replace(ds, covariates=tuple(
+            (name, col + offset)
+            for (name, col), offset in zip(ds.covariates, [1e13, -1e13, 1e9, 0.0])))
+        got, want = self.check(ds, [1, 2, 100, 256, 257, 399])
+        assert fit_fwl(got).beta1 == pytest.approx(fit_fwl(want).beta1, rel=1e-12)
+
+    def test_staged_flushes_without_chunking(self):
+        # the reader's 64-row blocks, flushed only when the staging buffer
+        # fills: 1000 rows are folded a full buffer at a time, and the rest
+        # at the end
+        ds = make_dataset(np.random.default_rng(134), n=1000, w=3)
+        values = np.column_stack([ds.response, *(col for _, col in ds.covariates)])
+        stream = regression._Stream(ds.n_covariates + 1)
+        flushes = []
+        flush = stream.flush
+        stream.flush = lambda: flushes.append(stream.fill) or flush()
+        for lo in range(0, ds.n_rows, 64):
+            stream.push(values[lo:lo + 64].ravel(), ds.group_labels[lo:lo + 64])
+        got = stream.design(("x1", "x2", "x3"), None, ds.source, 0)
+        stage = regression._STAGE_ROWS
+        assert stage % 64 == 0 and flushes == [stage] * (1000 // stage) + [1000 % stage]
+        assert_same_statistics(got, build_design(ds))
+
+    def test_build_design_and_the_stream_share_the_fold(self, monkeypatch, tmp_path):
+        # one core: build_design folds each group once, the stream once per
+        # label and flush, through the same _Group.fold
+        calls = []
+        fold = regression._Group.fold
+
+        def counted(self, stack, mean):
+            calls.append(stack.shape[1])
+            return fold(self, stack, mean)
+
+        monkeypatch.setattr(regression._Group, "fold", counted)
+        ds = make_dataset(np.random.default_rng(135), n=600, w=2)
+        design = build_design(ds)
+        assert calls == [design.n1, design.n2]
+        path = tmp_path / "s.csv"
+        cols = [ds.response, *(col for _, col in ds.covariates)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("g;y;x1;x2\n")
+            for i, label in enumerate(ds.group_labels):
+                fh.write(";".join([label, *(repr(float(col[i])) for col in cols)]) + "\n")
+        calls.clear()
+        streamed, used, dropped = regression.stream_design(path, "y", "g", ["x1", "x2"])
+        assert (used, dropped) == (600, 0)
+        # each flush of the 600 rows folds both labels
+        assert len(calls) == 2 * -(-600 // regression._STAGE_ROWS) > 2
+        assert_same_statistics(streamed, design)
