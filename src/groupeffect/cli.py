@@ -24,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dataio import histogram, load_column, load_csv
+from .dataio import histogram, load_column, load_csv, stream_histogram
 from .distributions import f_upper_p, t_two_sided_p
 from .effects import d_from_beta, effect_report, f_squared_from_r2
 from .errors import DataError, NumericError
-# load_csv, build_design, fit_monolithic and group_summaries are not called
-# here: effect and fit build the design with stream_design as the file is
-# read, both fit by FWL, and the reports reuse EffectReport.groups, which
-# effect_report reads off the design's per-group factors. They stay
+# load_csv, load_column, histogram, build_design, fit_monolithic and
+# group_summaries are not called here: effect and fit build the design with
+# stream_design and hist counts its bins with stream_histogram as the file
+# is read, both fits are by FWL, and the reports reuse EffectReport.groups,
+# which effect_report reads off the design's per-group factors. They stay
 # importable as cli.load_csv, ..., the names bench/spans.py traces.
 from .regression import (
     build_design,
@@ -47,9 +48,6 @@ EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1  # Python's own exit code for a closed stdout
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-# Default hist edges are unit bins over [floor(min), floor(max) + 1]; past
-# this many bins the user must pass --edges.
-MAX_DEFAULT_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -335,28 +333,18 @@ def cmd_model(config: AnalysisConfig, command: str) -> int:
 
 
 def cmd_hist(config: AnalysisConfig, edges=None) -> int:
-    values, dropped = load_column(
-        config.input_path, config.response_col, delimiter=config.delimiter
+    edges, counts, used, dropped = stream_histogram(
+        config.input_path, config.response_col, edges, delimiter=config.delimiter
     )
-    if edges is None:
-        lo = math.floor(values.min())
-        hi = math.floor(values.max())
-        if hi - lo + 1 > MAX_DEFAULT_BINS:
-            raise DataError(
-                f"default unit bins over [{lo}, {hi + 1}] would make {hi - lo + 1} "
-                f"bins (limit {MAX_DEFAULT_BINS}); pass --edges"
-            )
-        edges = [float(e) for e in range(lo, hi + 2)]
-    counts = histogram(values, edges)
     if config.output_format == "json":
         doc = {
             "config": _config_dict(config),
             "data_summary": {
                 "source": config.input_path,
-                "rows_used": int(len(values)),
+                "rows_used": used,
                 "dropped_rows": dropped,
             },
-            "histogram": {"edges": list(edges), "counts": counts},
+            "histogram": {"edges": edges, "counts": counts},
         }
         print(json.dumps(doc, indent=2))
     else:

@@ -8,9 +8,10 @@ Numeric cells are decimal literals with an optional exponent ("2.5E-3").
 Rows with a missing, non-numeric or overflowing ("1e999") cell in any
 selected column are dropped and counted.
 
-One reader, :func:`scan_csv`, serves both loaders here and
-``regression.stream_design``, which builds a design as the file is read
-without holding its rows. It takes the rows in blocks of 64 and drops rows
+One reader, :func:`scan_csv`, serves both loaders here,
+:func:`stream_histogram`, which counts a column's bins as the file is read
+without holding the column, and ``regression.stream_design``, which builds
+a design the same way. It takes the rows in blocks of 64 and drops rows
 too short to reach a selected column or with an empty group label. It then
 checks the block's selected cells at once on their "|"-joined text and
 converts them with one np.fromiter. Where the check fails, one scan of that
@@ -18,7 +19,7 @@ text finds each row it rejects: the rows before it are converted at once,
 that row alone goes through the per-cell regex, and the scan goes on from
 the next row. Each run of kept rows goes to the caller as it is converted.
 The loaders keep the runs and, at the end, drop the rows holding a cell
-that overflowed to inf; the stream drops them as it stages them. The result
+that overflowed to inf; the streams drop them as they stage them. The result
 is the same as parsing cell by cell. A leading UTF-8 BOM is skipped. A
 selected column name that occurs more than once in the header is an error,
 and so is a column selected twice.
@@ -45,7 +46,8 @@ from .errors import (
 )
 from .linalg import as_vector
 
-__all__ = ["Dataset", "load_csv", "load_column", "histogram", "scan_csv"]
+__all__ = ["Dataset", "load_csv", "load_column", "histogram", "scan_csv",
+           "stream_histogram"]
 
 # integer and decimal literals with an optional decimal exponent; anything
 # else (and a value that overflows to inf) drops the row
@@ -55,6 +57,16 @@ _NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # str.strip() removes but float() rejects. "|" joins cells.
 _BLOCK_RE = re.compile(r"[0-9eE+\-. \t\n\r\x0b\x0c|]+")
 _BLOCK_ROWS = 64
+
+_UNSORTED_EDGES = "bin edges must be a strictly increasing sequence of length >= 2"
+# Default hist edges are unit bins over [floor(min), floor(max) + 1]; past
+# this many bins the caller must pass edges.
+MAX_DEFAULT_BINS = 10_000
+# Integers up to this magnitude are exact floats; past it unit edges collide.
+_EXACT_INT = 2 ** 53
+# Values staged between two counting passes of stream_histogram: each pass
+# costs a fixed ~10 numpy calls, and the stage's size adds to the peak.
+_HIST_STAGE = 4096
 
 
 @dataclass(frozen=True)
@@ -345,10 +357,123 @@ def histogram(values, bin_edges) -> list[int]:
     The counts sum to the number of in-range values.
     """
     edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-        raise UnsortedEdgesError(
-            "bin edges must be a strictly increasing sequence of length >= 2"
-        )
+    if not _increasing(edges):
+        raise UnsortedEdgesError(_UNSORTED_EDGES)
     vals = np.asarray(values, dtype=float)
     counts, _ = np.histogram(vals, bins=edges)
     return [int(c) for c in counts]
+
+
+def _increasing(edges: np.ndarray) -> bool:
+    return edges.ndim == 1 and edges.size >= 2 and bool(np.all(np.diff(edges) > 0))
+
+
+def _unit_bins_problem(lo: float, hi: float) -> str | None:
+    """Why unit bins over [floor(lo), floor(hi) + 1] cannot be the default
+    edges, or None if they can."""
+    first, last = math.floor(lo), math.floor(hi)
+    if last - first + 1 > MAX_DEFAULT_BINS:
+        return (f"default unit bins over [{first}, {last + 1}] would make "
+                f"{last - first + 1} bins (limit {MAX_DEFAULT_BINS}); pass --edges")
+    if first < -_EXACT_INT or last + 1 > _EXACT_INT:
+        return (f"default unit bins cannot be formed for values as large as "
+                f"{max(-lo, hi)!r} in magnitude: past 2**53, consecutive integers "
+                f"are not all floats; pass --edges")
+    return None
+
+
+class _BinCounter:
+    """The bin counter of :func:`stream_histogram`, fed by the reader.
+
+    :meth:`push` stages each run of values the reader passes; every
+    ``_HIST_STAGE`` values :meth:`flush` drops the non-finite ones ("1e999"),
+    counting them in ``dropped``, and counts the rest into ``counts``: with
+    np.histogram over ``edges`` or, when ``edges`` is None, by floor(v) into
+    unit bins from ``base`` on, re-based as the range grows. A value's bin
+    depends on no other value, so the counts are those of one np.histogram
+    over the whole column, the unit bins' because their integer edges are
+    exact floats. Unit bins are counted only while they can be the default
+    edges; ``min`` and ``max`` are kept to the end. With ``count`` False,
+    only the values are counted.
+    """
+
+    def __init__(self, edges: np.ndarray | None, count: bool = True):
+        self.edges = edges
+        self.counts = (np.zeros(0 if edges is None else len(edges) - 1, np.int64)
+                       if count else None)
+        self.base = None
+        self.runs, self.staged = [], 0
+        self.n = self.dropped = 0
+        self.min = self.max = None
+
+    def push(self, values: np.ndarray, labels) -> None:
+        self.runs.append(values)
+        self.staged += len(values)
+        if self.staged >= _HIST_STAGE:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.runs:
+            return
+        part = np.concatenate(self.runs)
+        self.runs, self.staged = [], 0
+        if not np.isfinite(part).all():  # "1e999"
+            kept = part[np.isfinite(part)]
+            self.dropped += len(part) - len(kept)
+            part = kept
+        if not len(part):
+            return
+        self.n += len(part)
+        if self.edges is not None:
+            if self.counts is not None:
+                self.counts += np.histogram(part, self.edges)[0]
+            return
+        lo, hi = float(part.min()), float(part.max())
+        self.min = lo if self.min is None else min(self.min, lo)
+        self.max = hi if self.max is None else max(self.max, hi)
+        if self.counts is None:
+            return
+        if _unit_bins_problem(self.min, self.max) is not None:
+            self.counts = None
+            return
+        first, last = math.floor(self.min), math.floor(self.max)
+        if self.base is None:
+            self.base = first
+        if first != self.base or last + 1 - first != len(self.counts):  # re-base
+            counts = np.zeros(last + 1 - first, np.int64)
+            at = self.base - first
+            counts[at:at + len(self.counts)] = self.counts
+            self.counts, self.base = counts, first
+        np.floor(part, out=part)
+        part -= first
+        self.counts += np.bincount(part.astype(np.intp), minlength=len(self.counts))
+
+
+def stream_histogram(path, column: str, bin_edges=None, delimiter: str = ";"):
+    """:func:`histogram` of :func:`load_column` of the same arguments,
+    counted as the file is read without holding the column.
+
+    Returns (edges, counts, rows_used, dropped_rows), ``edges`` and
+    ``counts`` as lists. With ``bin_edges`` None the edges are the default
+    unit bins over [floor(min), floor(max) + 1]. The errors are those of
+    load_column followed by histogram, in the same order: bad ``bin_edges``
+    are reported only after the whole file has been read, and nothing is
+    counted into them. Default bins that would number over
+    ``MAX_DEFAULT_BINS``, or reach 2**53 in magnitude, where unit edges are
+    not exact floats, raise DataError last.
+    """
+    edges = None if bin_edges is None else np.asarray(bin_edges, dtype=float)
+    valid = edges is None or _increasing(edges)
+    bins = _BinCounter(edges, count=valid)  # bad edges: read on for the errors first
+    dropped = scan_csv(path, [column], None, delimiter, bins.push)
+    bins.flush()
+    if not bins.n:
+        raise EmptyAfterFilteringError(f"no usable values in column {column!r} of {path}")
+    if not valid:
+        raise UnsortedEdgesError(_UNSORTED_EDGES)
+    if edges is None:
+        problem = _unit_bins_problem(bins.min, bins.max)
+        if problem is not None:
+            raise DataError(problem)
+        edges = range(math.floor(bins.min), math.floor(bins.max) + 2)
+    return [float(e) for e in edges], bins.counts.tolist(), bins.n, dropped + bins.dropped

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -7,8 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupeffect import build_design, cli, effect_report, fit_fwl, load_csv, regression
+from groupeffect import (build_design, cli, dataio, effect_report, fit_fwl, histogram,
+                         load_column, load_csv, regression)
 from groupeffect.cli import main
 from groupeffect.errors import DataError, NumericError
 
@@ -385,6 +390,22 @@ class TestHistCommand:
         code, out, _ = run(capsys, "hist", "--data", str(path), "--response", "y")
         assert code == 0 and len(out.splitlines()) == 10_000
 
+    @pytest.mark.parametrize("cells", [["1e300", "1e300"],
+                                       ["9007199254740993", "9007199254740994"]],
+                             ids=["1e300", "2**53+1"])
+    def test_default_bins_past_2_53_exit_2(self, capsys, tmp_path, cells):
+        # past 2**53 consecutive integers collide as floats, so unit edges
+        # cannot be formed; no edges were passed, so none can be unsorted
+        path = tmp_path / "huge.csv"
+        path.write_text("y\n" + "".join(f"{c}\n" for c in cells), encoding="utf-8")
+        code, out, err = run(capsys, "hist", "--data", str(path), "--response", "y")
+        assert code == 2 and out == ""
+        assert err.startswith("error: DataError: default unit bins cannot be formed")
+        assert "2**53" in err and "pass --edges" in err
+        code, out, _ = run(capsys, "hist", "--data", str(path), "--response", "y",
+                           "--edges", "0,1e301")
+        assert code == 0 and out.strip() == "0,1e+301,2"
+
 
 class TestInputHeaders:
     def test_utf8_bom_file(self, capsys, tmp_path):
@@ -629,6 +650,152 @@ class TestStreamingMemory:
             assert json.loads(out)["data_summary"]["rows_used"] == rows
         stage = 8 * regression._STAGE_ROWS * (w + 1)
         assert abs(peaks[1] - peaks[0]) < stage, [f"{p / 1e3:.1f} KB" for p in peaks]
+
+
+def hist_by_loading(path, edges=None):
+    """(exit code, stderr, (edges, counts, rows_used, dropped_rows) or None)
+    of ``hist`` on column y, done as it was before its counting was
+    streamed: load_column, then histogram over ``edges`` or the default
+    unit bins, each error mapped as main maps it."""
+    try:
+        values, dropped = load_column(path, "y")
+        if edges is None:
+            lo, hi = math.floor(values.min()), math.floor(values.max())
+            if hi - lo + 1 > 10_000:
+                raise DataError(f"default unit bins over [{lo}, {hi + 1}] would make "
+                                f"{hi - lo + 1} bins (limit 10000); pass --edges")
+            edges = [float(e) for e in range(lo, hi + 2)]
+        counts = histogram(values, edges)
+    except DataError as exc:
+        return 2, f"error: {type(exc).__name__}: {exc}\n", None
+    return 0, "", (list(edges), counts, len(values), dropped)
+
+
+def hist_by_cli(path, edges=None):
+    """``hist_by_loading``'s triple from ``hist --format json``."""
+    argv = ["hist", "--data", str(path), "--response", "y", "--format", "json"]
+    if edges is not None:
+        argv.append("--edges=" + ",".join(map(repr, edges)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code:
+        assert out == ""
+        return code, err, None
+    doc = json.loads(out)
+    summary, hist = doc["data_summary"], doc["histogram"]
+    return code, err, (hist["edges"], hist["counts"], summary["rows_used"],
+                       summary["dropped_rows"])
+
+
+STAGE = dataio._HIST_STAGE
+# cells that no value draw makes, each at a few random rows
+SPECIAL_CELLS = ["", "NA", "1e999", "-1e999", "-0.0", "0", "-1", "7.0", "-3.0"]
+
+
+@st.composite
+def hist_columns(draw, n):
+    """A quote-free column y of ``n`` ints and decimals, negatives among
+    them, whose range grows or shrinks along the file, with SPECIAL_CELLS at
+    a few rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([40.0, 2500.0, 12_000.0, 3.0, 0.5]))
+    ramp = np.linspace(0.05, 1.0, n)
+    if draw(st.booleans()):
+        ramp = ramp[::-1]
+    offset = draw(st.sampled_from([0.0, -7.5, 100.0]))
+    values = rng.uniform(-1.0, 1.0, n) * ramp * spread + offset
+    decimals = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    cells = [f"{v:.3f}" if dec else str(int(round(v))) for v, dec in zip(values, decimals)]
+    for r, cell in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.sampled_from(SPECIAL_CELLS)), max_size=8)):
+        cells[r] = cell
+    return cells
+
+
+class TestHistStreaming:
+    """hist counts its bins as the file is read; its output and its errors
+    must be those of loading the column and binning it."""
+
+    # row counts around the counter's stage of S values: S - 1, S, S + 1, 2S + 1
+    @pytest.mark.parametrize("n", [1, 65, STAGE - 1, STAGE, STAGE + 1, 2 * STAGE + 1])
+    @pytest.mark.parametrize("edges", ["default", "sorted", "unsorted"])
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(data=st.data(),
+           cuts=st.lists(st.floats(-150.0, 150.0), min_size=2, max_size=6))
+    def test_matches_load_column_and_histogram(self, tmp_path_factory, n, data, edges,
+                                                cuts):
+        cells = data.draw(hist_columns(n))
+        path = tmp_path_factory.mktemp("hist") / "y.csv"
+        path.write_text("x;y\n" + "".join(f"{i};{c}\n" for i, c in enumerate(cells)),
+                        encoding="utf-8")
+        if edges == "default":
+            cuts = None
+        elif edges == "sorted":
+            cuts = sorted(set(cuts)) if len(set(cuts)) > 1 else [-1.0, 1.0]
+        elif cuts == sorted(set(cuts)):
+            cuts = cuts[::-1]
+        want = hist_by_loading(path, cuts)
+        assert hist_by_cli(path, cuts) == want
+
+    @pytest.mark.parametrize("case", ["missing_column", "no_usable_values", "unsorted_edges",
+                                      "too_many_default_bins", "bad_utf8_after_a_flush",
+                                      "bad_utf8_after_a_flush_unsorted_edges"])
+    def test_same_exit_code_and_stderr(self, tmp_path, case):
+        rows = [f"{i % 17}\n" for i in range(STAGE + 10)]
+        header, edges, tail = "y\n", None, b""
+        if case == "missing_column":
+            header = "z\n"
+        elif case == "no_usable_values":
+            rows = ["NA\n", "\n", "1e999\n"] * 3
+        elif case == "unsorted_edges":
+            edges = [0.0, 5.0, 5.0]
+        elif case == "too_many_default_bins":
+            rows[STAGE + 5] = "-50000\n"
+        else:
+            # past the first flush, by which the bins were already too many:
+            # the reader's error still comes first
+            rows[1] = "50000\n"
+            rows += [f"{i % 17}\n" for i in range(STAGE)]
+            tail = b"\xff3\n"
+            edges = [2.0, 1.0] if case.endswith("unsorted_edges") else None
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes((header + "".join(rows)).encode("utf-8") + tail)
+        want = hist_by_loading(path, edges)
+        assert want[0] == 2
+        assert hist_by_cli(path, edges) == want
+
+
+class TestHistMemory:
+    def test_hist_peak_does_not_grow_with_n(self, capsys, tmp_path):
+        # hist counts each staged run of values into its bins as the file is
+        # read, so a run over 2e5 rows must peak within one stage buffer of a
+        # run over 1e5; holding the column, as load_column does, adds about
+        # 1.6 MB per 1e5 rows
+        n = 200_000
+        rng = np.random.default_rng(13)
+        grades = rng.integers(0, 21, n).astype(str).astype(object)
+        grades[rng.choice(n, n // 100, replace=False)] = "NA"
+        lines = [f'"GP";17;{g}\n' for g in grades]
+        peaks = []
+        run(capsys, *_student_argvs()[5])  # first-call caches
+        for rows in (n // 2, n):
+            path = tmp_path / f"rows{rows}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("school;age;G3\n")
+                fh.writelines(lines[:rows])
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, "hist", "--data", str(path), "--response", "G3",
+                                     "--format", "json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (code, err) == (0, "")
+            summary = json.loads(out)["data_summary"]
+            assert summary["rows_used"] + summary["dropped_rows"] == rows
+        assert abs(peaks[1] - peaks[0]) < 8 * STAGE, [f"{p / 1e3:.1f} KB" for p in peaks]
 
 
 class _ClosedStdout:

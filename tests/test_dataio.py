@@ -517,3 +517,18 @@ class TestHistogram:
         counts = histogram(values, list(range(0, 22)))
         assert len(counts) == 21
         assert sum(counts) == 649
+
+    def test_streamed_unit_bins_rebase_as_the_range_grows(self, tmp_path):
+        # each stage of values the counter takes reaches past the range of
+        # the ones before it, below and above in turn, so every flush after
+        # the first moves the counts into a wider array
+        stage = dataio._HIST_STAGE
+        rng = np.random.default_rng(5)
+        spans = [(0, 5), (-10, 3), (2, 30), (-40.5, 50.25)]
+        cells = [f"{v:.2f}" for lo, hi in spans for v in rng.uniform(lo, hi, stage)]
+        path = write(tmp_path, "y\n" + "\n".join(cells) + "\n")
+        values, dropped = load_column(path, "y")
+        edges = [float(e) for e in range(-41, 52)]
+        assert (edges[0], edges[-1]) == (np.floor(values.min()), np.floor(values.max()) + 1)
+        assert dataio.stream_histogram(path, "y") == (
+            edges, histogram(values, edges), len(values), dropped)
