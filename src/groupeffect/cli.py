@@ -66,6 +66,14 @@ def _fmt(value: float, precision: int) -> str:
     return format(value, f".{precision}g")
 
 
+def _fmt_edge(value: float, precision: int) -> str:
+    # an integral edge of more digits than the precision prints in full, so
+    # unit bins there stay apart; below 2**53 every integer is a float
+    if value.is_integer() and 10 ** precision <= abs(value) < 2 ** 53:
+        return str(int(value))
+    return _fmt(value, precision)
+
+
 def _precision_arg(text: str) -> int:
     value = int(text)
     if not 1 <= value <= 15:
@@ -350,7 +358,7 @@ def cmd_hist(config: AnalysisConfig, edges=None) -> int:
     else:
         p = config.precision
         lines = [
-            f"{_fmt(lo, p)},{_fmt(hi, p)},{count}"
+            f"{_fmt_edge(lo, p)},{_fmt_edge(hi, p)},{count}"
             for lo, hi, count in zip(edges[:-1], edges[1:], counts)
         ]
         print("\n".join(lines))

@@ -17,12 +17,12 @@ checks the block's selected cells at once on their "|"-joined text and
 converts them with one np.fromiter. Where the check fails, one scan of that
 text finds each row it rejects: the rows before it are converted at once,
 that row alone goes through the per-cell regex, and the scan goes on from
-the next row. Each run of kept rows goes to the caller as it is converted.
-The loaders keep the runs and, at the end, drop the rows holding a cell
-that overflowed to inf; the streams drop them as they stage them. The result
-is the same as parsing cell by cell. A leading UTF-8 BOM is skipped. A
-selected column name that occurs more than once in the header is an error,
-and so is a column selected twice.
+the next row. A converted run holding a cell that overflowed to inf loses
+that cell's row there, and each run of kept rows goes to the caller, so no
+caller checks finiteness or drops a row. The result is the same as parsing
+cell by cell. A leading UTF-8 BOM is skipped. A selected column name that
+occurs more than once in the header is an error, and so is a column
+selected twice.
 """
 
 from __future__ import annotations
@@ -156,10 +156,10 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
     ``take(values, labels)``. ``values`` is a flat float64 array, the
     ``numeric_cols`` cells of each row in turn; ``labels`` iterates over the
     rows' ``group_col`` cells (it is empty when ``group_col`` is None).
-    Returns the number of rows dropped. A cell that overflows ("1e999")
-    passes as inf; dropping its row is the caller's. Bytes that are not
-    UTF-8 and rows the csv module rejects (such as a field over
-    ``csv.field_size_limit()``) raise DataError.
+    Each call gets at least one row, and every value is finite. Returns
+    the number of rows dropped, a row with a cell that overflows ("1e999")
+    among them. Bytes that are not UTF-8 and rows the csv module rejects
+    (such as a field over ``csv.field_size_limit()``) raise DataError.
 
     Rows are read in blocks of ``_BLOCK_ROWS``, so a run holds at most that
     many rows. Each block's cells are joined once and scanned from left to
@@ -167,9 +167,10 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
     the rows before it are converted with one np.fromiter, its row alone
     goes through ``_parse_number``, and the scan resumes at the next row. A
     run that passes the scan but holds a cell float() rejects (" ", "+-1")
-    is converted cell by cell once, dropping the rows with such a cell. So
-    each cell is scanned once and converted at most twice, and a row the
-    scan stops at costs one ``_parse_number`` call per cell.
+    is converted cell by cell once, such a cell reading as NaN. One
+    np.isfinite over the converted run then drops the rows holding a NaN
+    or an inf. So each cell is scanned once and converted at most twice,
+    and a row the scan stops at costs one ``_parse_number`` call per cell.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DataError(f"delimiter must be one character, got {delimiter!r}")
@@ -243,19 +244,24 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                     if s > r:
                         run = cells[r * k:s * k]
                         try:
-                            take(np.fromiter(map(float, run), float, len(run)), labels[r:s])
+                            vals = np.fromiter(map(float, run), float, len(run))
                         except ValueError:  # " ", "+-1", "1.2.3": float() alone rejects
-                            vals = np.fromiter(map(_float_or_nan, run), float,
-                                               len(run)).reshape(-1, k)
-                            ok = ~np.isnan(vals).any(axis=1)
+                            vals = np.fromiter(map(_float_or_nan, run), float, len(run))
+                        if np.isfinite(vals).all():
+                            take(vals, labels[r:s])
+                        else:  # a rejected cell (nan) or an overflowed one ("1e999")
+                            vals = vals.reshape(-1, k)
+                            ok = np.isfinite(vals).all(axis=1)
                             dropped += len(ok) - int(ok.sum())
-                            take(vals[ok].reshape(-1), compress(labels[r:s], ok))
+                            if ok.any():
+                                take(vals[ok].reshape(-1), compress(labels[r:s], ok))
+                        del vals  # not alive while the next block is read
                     if s < n:
-                        vals = exact(cells[s * k:(s + 1) * k])
-                        if vals is None:
+                        row = exact(cells[s * k:(s + 1) * k])
+                        if row is None:
                             dropped += 1
                         else:
-                            take(vals, labels[s:s + 1])
+                            take(row, labels[s:s + 1])
                         off += sum(map(len, cells[r * k:(s + 1) * k])) + (s + 1 - r) * k
                     r = s + 1
     except UnicodeDecodeError as exc:
@@ -271,9 +277,8 @@ def _read(path, numeric_cols, group_col, delimiter):
 
     Returns (values, labels, dropped): ``values`` is an (m, k) float64 array
     of the k ``numeric_cols`` for the m kept rows, ``labels`` the kept rows'
-    ``group_col`` cells (empty when ``group_col`` is None). The runs
-    :func:`scan_csv` passes on are joined at the end, and one np.isfinite
-    over them drops the rows holding a cell that overflowed to inf.
+    ``group_col`` cells (empty when ``group_col`` is None): the runs
+    :func:`scan_csv` passes on, joined at the end.
     """
     blocks, labels = [], []
 
@@ -284,12 +289,6 @@ def _read(path, numeric_cols, group_col, delimiter):
     dropped = scan_csv(path, numeric_cols, group_col, delimiter, take)
     k = len(numeric_cols)
     values = np.concatenate(blocks).reshape(-1, k) if blocks else np.empty((0, k))
-    blocks.clear()  # so the finiteness check's temporary does not raise the peak
-    if not np.isfinite(values).all():
-        finite = np.isfinite(values).all(axis=1)
-        dropped += len(finite) - int(finite.sum())
-        values = values[finite]
-        labels = list(compress(labels, finite))
     return values, labels, dropped
 
 
@@ -386,24 +385,21 @@ class _BinCounter:
     """The bin counter of :func:`stream_histogram`, fed by the reader.
 
     :meth:`push` stages each run of values the reader passes; every
-    ``_HIST_STAGE`` values :meth:`flush` drops the non-finite ones ("1e999"),
-    counting them in ``dropped``, and counts the rest into ``counts``: with
+    ``_HIST_STAGE`` values :meth:`flush` counts them into ``counts``: with
     np.histogram over ``edges`` or, when ``edges`` is None, by floor(v) into
     unit bins from ``base`` on, re-based as the range grows. A value's bin
     depends on no other value, so the counts are those of one np.histogram
     over the whole column, the unit bins' because their integer edges are
     exact floats. Unit bins are counted only while they can be the default
-    edges; ``min`` and ``max`` are kept to the end. With ``count`` False,
-    only the values are counted.
+    edges; ``min`` and ``max`` are kept to the end.
     """
 
-    def __init__(self, edges: np.ndarray | None, count: bool = True):
+    def __init__(self, edges: np.ndarray | None):
         self.edges = edges
-        self.counts = (np.zeros(0 if edges is None else len(edges) - 1, np.int64)
-                       if count else None)
+        self.counts = np.zeros(0 if edges is None else len(edges) - 1, np.int64)
         self.base = None
         self.runs, self.staged = [], 0
-        self.n = self.dropped = 0
+        self.n = 0
         self.min = self.max = None
 
     def push(self, values: np.ndarray, labels) -> None:
@@ -417,16 +413,9 @@ class _BinCounter:
             return
         part = np.concatenate(self.runs)
         self.runs, self.staged = [], 0
-        if not np.isfinite(part).all():  # "1e999"
-            kept = part[np.isfinite(part)]
-            self.dropped += len(part) - len(kept)
-            part = kept
-        if not len(part):
-            return
         self.n += len(part)
         if self.edges is not None:
-            if self.counts is not None:
-                self.counts += np.histogram(part, self.edges)[0]
+            self.counts += np.histogram(part, self.edges)[0]
             return
         lo, hi = float(part.min()), float(part.max())
         self.min = lo if self.min is None else min(self.min, lo)
@@ -464,7 +453,7 @@ def stream_histogram(path, column: str, bin_edges=None, delimiter: str = ";"):
     """
     edges = None if bin_edges is None else np.asarray(bin_edges, dtype=float)
     valid = edges is None or _increasing(edges)
-    bins = _BinCounter(edges, count=valid)  # bad edges: read on for the errors first
+    bins = _BinCounter(edges if valid else None)  # bad edges: read on, errors in order
     dropped = scan_csv(path, [column], None, delimiter, bins.push)
     bins.flush()
     if not bins.n:
@@ -476,4 +465,4 @@ def stream_histogram(path, column: str, bin_edges=None, delimiter: str = ";"):
         if problem is not None:
             raise DataError(problem)
         edges = range(math.floor(bins.min), math.floor(bins.max) + 2)
-    return [float(e) for e in edges], bins.counts.tolist(), bins.n, dropped + bins.dropped
+    return [float(e) for e in edges], bins.counts.tolist(), bins.n, dropped

@@ -38,7 +38,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -230,13 +229,14 @@ def stream_design(path, response_col: str, group_col: str, covariate_cols=(),
     does not grow with the file. Every row is shifted by the first row
     kept, where build_design takes group 1's first. The group order and
     ``reference_level`` are settled at the end, and the errors are those
-    of ``load_csv`` followed by ``build_design``, in the same order.
+    of ``load_csv`` followed by ``build_design``, in the same order. The
+    rows dropped are the reader's; every row it passes is used.
     """
     names = tuple(covariate_cols)
     stream = _Stream(len(names) + 1)
     dropped = scan_csv(path, [response_col, *names], group_col, delimiter, stream.push)
     design = stream.design(names, reference_level, path, dropped)
-    return design, stream.n, dropped + stream.dropped
+    return design, stream.n, dropped
 
 
 def _group_order(levels, reference_level):
@@ -341,12 +341,11 @@ class _Stream:
     """The staging buffer of :func:`stream_design`, fed by the reader.
 
     :meth:`push` copies a block of rows ([y, X2] per row, the reader's
-    order) and their labels in; :meth:`flush` drops the rows with an
-    overflowed cell, codes the rest by label and folds each label's rows
-    into its :class:`_Group`. Only kept rows are coded, so ``codes`` holds
-    exactly the labels of kept rows. Once a third label turns up, no more
-    rows are folded: the file cannot be analysed, and the rows are only
-    counted for the error that follows.
+    order) and their labels in; :meth:`flush` codes the rows by label and
+    folds each label's rows into its :class:`_Group`. The reader passes
+    kept rows only, so ``codes`` holds exactly the labels of kept rows.
+    Once a third label turns up, no more rows are folded: the file cannot
+    be analysed, and the rows are only counted for the error that follows.
     """
 
     def __init__(self, k: int):
@@ -355,7 +354,7 @@ class _Stream:
         self.codes = _Codes()
         self.groups = (_Group(k), _Group(k))
         self.pivot = None  # the first kept row, in the reader's order [y, X2]
-        self.n = self.dropped = 0
+        self.n = 0
 
     def push(self, values: np.ndarray, labels) -> None:
         """Stage a run of at most _STAGE_ROWS rows, as the reader passes
@@ -370,10 +369,6 @@ class _Stream:
     def flush(self) -> None:
         rows, labels = self.stage[:self.fill], self.labels
         self.fill, self.labels = 0, []
-        if not np.isfinite(rows).all():  # "1e999"
-            finite = np.isfinite(rows).all(axis=1)
-            self.dropped += len(rows) - int(finite.sum())
-            rows, labels = rows[finite], list(compress(labels, finite))
         if not len(rows):
             return
         self.n += len(rows)
@@ -394,9 +389,9 @@ class _Stream:
 
     def design(self, names, reference_level, source, dropped) -> PartitionedDesign:
         """The design of every row pushed, once the last is in; ``dropped``
-        counts the rows the reader dropped before pushing."""
+        counts the rows the reader dropped."""
         self.flush()
-        require_rows(self.n, source, dropped + self.dropped)
+        require_rows(self.n, source, dropped)
         labels = sorted(self.codes)
         if len(labels) != 2:
             raise NotBinaryGroupError(labels)

@@ -390,6 +390,17 @@ class TestHistCommand:
         code, out, _ = run(capsys, "hist", "--data", str(path), "--response", "y")
         assert code == 0 and len(out.splitlines()) == 10_000
 
+    def test_unit_bins_past_the_precision_print_apart(self, capsys, tmp_path):
+        # at 7 significant digits both bins would read 1.234568e+07,1.234568e+07
+        path = tmp_path / "big.csv"
+        path.write_text("y\n12345678\n12345679.5\n", encoding="utf-8")
+        base = ["hist", "--data", str(path), "--response", "y"]
+        code, out, _ = run(capsys, *base)
+        assert code == 0
+        assert out.splitlines() == ["12345678,12345679,1", "12345679,12345680,1"]
+        code, out, _ = run(capsys, *base, "--precision", "3", "--edges", "-1000,999.5,1e8")
+        assert code == 0 and out.splitlines() == ["-1000,1e+03,0", "1e+03,100000000,2"]
+
     @pytest.mark.parametrize("cells", [["1e300", "1e300"],
                                        ["9007199254740993", "9007199254740994"]],
                              ids=["1e300", "2**53+1"])

@@ -205,7 +205,8 @@ def write_rows(path, header, rows, quote_all=False):
 
 
 ADVERSARIAL = ["", " ", ".", "+-1", "1.2.3", "1e5", "nan", "1_0", "\u0661\u0662",
-               "\x1f7", "\x0b8\x0c", "1|2", "+.5", "1E+2", "1e999", "e5", "1e"]
+               "\x1f7", "\x0b8\x0c", "1|2", "+.5", "1E+2", "1e999", "-1e999",
+               "1" + "0" * 400, "e5", "1e"]
 
 
 @st.composite
@@ -249,6 +250,19 @@ class TestBlockReader:
         assert labels == want_labels
         assert dropped == want_dropped
         assert len(values) + dropped == len(rows)
+        # every run the reader passes on holds a row, and only finite values
+        runs, run_labels = [], []
+
+        def take(vals, row_labels):
+            assert len(vals) > 0 and np.isfinite(vals).all()
+            runs.append(vals)
+            run_labels.extend(row_labels)
+
+        dropped = dataio.scan_csv(path, numeric, group, ";", take)
+        joined = np.concatenate(runs) if runs else np.empty(0)
+        np.testing.assert_array_equal(joined.reshape(-1, len(numeric)), want_values)
+        assert run_labels == want_labels
+        assert dropped == want_dropped
 
     @pytest.mark.parametrize("bad", ["", "NA", " ", "1e999", "1|2", "+-1"])
     @pytest.mark.parametrize("column", ["y", "x"])
