@@ -19,10 +19,11 @@ text finds each row it rejects: the rows before it are converted at once,
 that row alone goes through the per-cell regex, and the scan goes on from
 the next row. A converted run holding a cell that overflowed to inf loses
 that cell's row there, and each run of kept rows goes to the caller, so no
-caller checks finiteness or drops a row. The result is the same as parsing
-cell by cell. A leading UTF-8 BOM is skipped. A selected column name that
-occurs more than once in the header is an error, and so is a column
-selected twice.
+caller checks finiteness or drops a row. A block's strings are released
+before the next block is read, so one block of them is alive at a time.
+The result is the same as parsing cell by cell. A leading UTF-8 BOM is
+skipped. A selected column name that occurs more than once in the header
+is an error, and so is a column selected twice.
 """
 
 from __future__ import annotations
@@ -247,6 +248,7 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                             vals = np.fromiter(map(float, run), float, len(run))
                         except ValueError:  # " ", "+-1", "1.2.3": float() alone rejects
                             vals = np.fromiter(map(_float_or_nan, run), float, len(run))
+                        del run  # its list of cells is not kept alive through take
                         if np.isfinite(vals).all():
                             take(vals, labels[r:s])
                         else:  # a rejected cell (nan) or an overflowed one ("1e999")
@@ -264,6 +266,7 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                             take(row, labels[s:s + 1])
                         off += sum(map(len, cells[r * k:(s + 1) * k])) + (s + 1 - r) * k
                     r = s + 1
+                del cells, labels, text  # not alive while the next block is read
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
                         f"(byte 0x{exc.object[exc.start]:02x})") from None

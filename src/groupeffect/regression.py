@@ -223,11 +223,13 @@ def stream_design(path, response_col: str, group_col: str, covariate_cols=(),
     arguments, built as the file is read without holding its rows.
 
     Returns (design, rows_used, dropped_rows). The reader
-    (:func:`dataio.scan_csv`) passes its blocks of kept rows to a staging
-    buffer of ``_STAGE_ROWS`` rows, which is folded into each label's
-    :class:`_Group` whenever it fills (see :class:`_Stream`), so memory
-    does not grow with the file. Every row is shifted by the first row
-    kept, where build_design takes group 1's first. The group order and
+    (:func:`dataio.scan_csv`) passes its runs of kept rows to a staging
+    buffer of ``_STAGE_ROWS`` rows of floats and one label code byte per
+    row, which is folded into each label's :class:`_Group` each time it is
+    full (see :class:`_Stream`), so memory does not grow with the file and
+    the result depends on the kept rows alone, not on where the reader's
+    runs end. Every row is shifted by the first row kept, where
+    build_design takes group 1's first. The group order and
     ``reference_level`` are settled at the end, and the errors are those
     of ``load_csv`` followed by ``build_design``, in the same order. The
     rows dropped are the reader's; every row it passes is used.
@@ -326,7 +328,7 @@ class _Group:
         self.n, self.mean, self.r = self.n + m, mean, _qr_r(stack)
 
 
-_STAGE_ROWS = 384  # rows held between the reader and the groups
+_STAGE_ROWS = 384  # kept rows folded at a time by stream_design
 
 
 class _Codes(dict):
@@ -340,52 +342,68 @@ class _Codes(dict):
 class _Stream:
     """The staging buffer of :func:`stream_design`, fed by the reader.
 
-    :meth:`push` copies a block of rows ([y, X2] per row, the reader's
-    order) and their labels in; :meth:`flush` codes the rows by label and
-    folds each label's rows into its :class:`_Group`. The reader passes
-    kept rows only, so ``codes`` holds exactly the labels of kept rows.
-    Once a third label turns up, no more rows are folded: the file cannot
-    be analysed, and the rows are only counted for the error that follows.
+    :meth:`push` codes each row's label as one byte in ``code`` and writes
+    the row's values into a column of ``stage``, whose rows are the
+    reader's columns [y, X2]. Each time ``_STAGE_ROWS`` rows are staged,
+    :meth:`flush` shifts them by the pivot and folds each label's rows,
+    taken straight from the stage as [X2 | y], into its :class:`_Group`. A
+    run that straddles the end of the stage is split, so every flush but
+    the last holds exactly ``_STAGE_ROWS`` rows: the design depends on the
+    kept rows alone, not on how the reader cut them into runs. Nothing but
+    the stage, the codes and the folded statistics outlives a push; no
+    label string is kept. The reader passes kept rows only, so ``codes``
+    holds exactly the labels of kept rows. Once a third label turns up, no
+    more rows are folded: the file cannot be analysed, and the rows are
+    only counted for the error that follows.
     """
 
     def __init__(self, k: int):
-        self.stage, self.ones = np.empty((_STAGE_ROWS, k)), np.ones(_STAGE_ROWS)
-        self.fill, self.labels = 0, []
+        self.stage, self.code = np.empty((k, _STAGE_ROWS)), bytearray(_STAGE_ROWS)
+        self.fill = 0
         self.codes = _Codes()
         self.groups = (_Group(k), _Group(k))
         self.pivot = None  # the first kept row, in the reader's order [y, X2]
         self.n = 0
 
     def push(self, values: np.ndarray, labels) -> None:
-        """Stage a run of at most _STAGE_ROWS rows, as the reader passes
-        them (at most its block of 64); flush first if they do not fit."""
-        rows = values.reshape(-1, self.stage.shape[1])
-        if self.fill + len(rows) > _STAGE_ROWS:
-            self.flush()
-        self.stage[self.fill:self.fill + len(rows)] = rows
-        self.labels.extend(labels)
-        self.fill += len(rows)
+        """Stage a run of rows as the reader passes it: ``values`` holds
+        [y, X2] per row, ``labels`` one label per row."""
+        columns = values.reshape(-1, len(self.stage)).T
+        codes = bytes(map(self.codes.__getitem__, labels))
+        at = 0
+        while at < len(codes):
+            lo = self.fill
+            m = min(len(codes) - at, _STAGE_ROWS - lo)
+            self.stage[:, lo:lo + m] = columns[:, at:at + m]
+            self.code[lo:lo + m] = codes[at:at + m]
+            self.fill = lo + m
+            at += m
+            if self.fill == _STAGE_ROWS:
+                self.flush()
 
     def flush(self) -> None:
-        rows, labels = self.stage[:self.fill], self.labels
-        self.fill, self.labels = 0, []
-        if not len(rows):
+        """Fold the staged rows into their labels' groups."""
+        fill, self.fill = self.fill, 0
+        self.n += fill
+        if not fill or len(self.codes) > 2:
             return
-        self.n += len(rows)
-        codes = bytes(map(self.codes.__getitem__, labels))
-        del labels
-        if len(self.codes) > 2:
-            return
+        staged = self.stage[:, :fill]
         if self.pivot is None:
-            self.pivot = rows[0].copy()
-        rows -= self.pivot
-        second = np.frombuffer(codes, bool)
-        n2 = int(np.count_nonzero(second))
-        # one label at a time, so that one label's copy is alive at most
-        if n2 < len(rows):
-            self._fold(self.groups[0], rows[~second] if n2 else rows)
-        if n2:
-            self._fold(self.groups[1], rows[second] if n2 < len(rows) else rows)
+            self.pivot = staged[:, 0].copy()
+        for row, shift in zip(staged, self.pivot):  # a broadcast -= would allocate a buffer
+            row -= shift
+        columns = (*staged[1:], staged[0])  # [X2 | y], the groups' order
+        codes = np.frombuffer(self.code, np.uint8, fill)
+        for code, group in enumerate(self.groups):
+            picked = np.flatnonzero(codes == code)
+            if len(picked):
+                stack, block = group.buffer(len(picked))
+                for row, column in zip(block, columns):
+                    column.take(picked, out=row, mode="clip")  # "raise" would copy
+                mean = block.sum(axis=1) / len(picked)
+                for row, mu in zip(block, mean):  # a broadcast -= would allocate a buffer
+                    row -= mu
+                group.fold(stack, mean)
 
     def design(self, names, reference_level, source, dropped) -> PartitionedDesign:
         """The design of every row pushed, once the last is in; ``dropped``
@@ -399,15 +417,6 @@ class _Stream:
         groups = tuple(self.groups[self.codes[label]] for label in order)
         pivot = np.concatenate((self.pivot[1:], self.pivot[:1]))  # as [X2 | y]
         return _finish_design(order, groups, names, pivot)
-
-    def _fold(self, group: _Group, part: np.ndarray) -> None:
-        """Fold ``part``, shifted rows in the reader's order [y, X2], into
-        ``group`` as centered [X2 | y] columns."""
-        mean = self.ones[:len(part)] @ part / len(part)  # a column sum costs more
-        stack, block = group.buffer(len(part))
-        np.subtract(part[:, 1:].T, mean[1:, None], out=block[:-1])
-        np.subtract(part[:, 0], mean[0], out=block[-1])
-        group.fold(stack, np.concatenate((mean[1:], mean[:1])))
 
 
 def _first_negligible(r: np.ndarray, n: int, scale: np.ndarray, lo: int, hi: int) -> int | None:

@@ -1,4 +1,6 @@
+import gc
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,22 @@ def student_csv_path() -> Path:
 @pytest.fixture(scope="session")
 def student_csv() -> Path:
     return student_csv_path()
+
+
+def traced_peak(fn):
+    """(fn(), peak, kept): the largest traced memory while ``fn`` ran and
+    what it left allocated, both in bytes above the traced memory after a
+    gc.collect. This is how bench/run.py measures an op's peak."""
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, kept - before
 
 
 def make_dataset(rng, n=None, w=None, noise=1.0, beta1=1.0, shuffle=True):

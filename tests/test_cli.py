@@ -5,7 +5,6 @@ import io
 import json
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from groupeffect import (build_design, cli, dataio, effect_report, fit_fwl, hist
 from groupeffect.cli import main
 from groupeffect.errors import DataError, NumericError
 
-from conftest import student_csv_path
+from conftest import student_csv_path, traced_peak
 
 
 def run(capsys, *argv):
@@ -631,6 +630,45 @@ class TestStreamingErrors:
         assert [summary["group1"], summary["group2"]] == kept_labels
 
 
+def write_rows(path, header, rows):
+    """Write ``rows``, lists of cells, under ``header``, ';'-separated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(";".join(header) + "\n")
+        fh.writelines(";".join(row) + "\n" for row in rows)
+
+
+class TestStreamedRows:
+    @pytest.mark.parametrize("command", ["effect", "fit"])
+    def test_result_depends_only_on_the_kept_rows(self, capsys, tmp_path, command):
+        # 5% of the rows hold a cell the reader drops them for; each one
+        # splits its 64-row block into two runs, so the runs differ from
+        # those of the same file without these rows. The stage flushes at
+        # fixed row counts, so every number must come out the same bit for
+        # bit, and only dropped_rows differ.
+        rng = np.random.default_rng(142)
+        n, w = 3000, 3
+        values = rng.standard_normal((n, w + 1)) * [1.0, 3.0, 1e3, 0.01] + [50, 0, 1e6, 1]
+        rows = [["ab"[int(rng.integers(2))], *map(repr, row)] for row in values.tolist()]
+        bad = rng.choice(n, n // 20, replace=False)
+        cells = ["", "NA", "1e999", "-1e999", " ", "+-1", "1.2.3"]
+        for i, row in enumerate(bad):
+            column = int(rng.integers(w + 2))  # the label as well
+            rows[row][column] = "" if column == 0 else cells[i % len(cells)]
+        argv = [command, "--data", str(tmp_path / "data.csv"), "--response", "y",
+                "--group", "g", "--covariates", "x1,x2,x3", "--format", "json"]
+        header = ["g", "y", "x1", "x2", "x3"]
+        write_rows(tmp_path / "data.csv", header, rows)
+        code, with_bad, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(with_bad)["data_summary"]["dropped_rows"] == len(bad)
+        kept = np.ones(n, bool)
+        kept[bad] = False
+        write_rows(tmp_path / "data.csv", header, [row for row, ok in zip(rows, kept) if ok])
+        code, without, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert with_bad.replace(f'"dropped_rows": {len(bad)},', '"dropped_rows": 0,') == without
+
+
 class TestStreamingMemory:
     def test_effect_peak_does_not_grow_with_n(self, capsys, tmp_path):
         # effect folds each staged block into per-label factors as the file
@@ -649,18 +687,36 @@ class TestStreamingMemory:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(";".join(["g", "y", *names]) + "\n")
                 fh.writelines(lines[:rows])
-            tracemalloc.start()
-            try:
-                code, out, err = run(capsys, "effect", "--data", str(path), "--response", "y",
-                                     "--group", "g", "--covariates", ",".join(names),
-                                     "--format", "json")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            (code, out, err), peak, _ = traced_peak(lambda: run(
+                capsys, "effect", "--data", str(path), "--response", "y", "--group", "g",
+                "--covariates", ",".join(names), "--format", "json"))
+            peaks.append(peak)
             assert (code, err) == (0, "")
             assert json.loads(out)["data_summary"]["rows_used"] == rows
         stage = 8 * regression._STAGE_ROWS * (w + 1)
         assert abs(peaks[1] - peaks[0]) < stage, [f"{p / 1e3:.1f} KB" for p in peaks]
+
+    def test_effect_holds_no_label_strings(self, capsys, tmp_path):
+        # the stage codes each label as one byte when a run is pushed, so
+        # only the reader's current block holds label strings: 64 labels of
+        # 60 characters take about 7 KB, while one-character labels are
+        # cached by Python and take none. A stage of 384 label strings
+        # would take 41 KB.
+        rng = np.random.default_rng(143)
+        values = rng.standard_normal((3000, 3)).round(3).tolist()
+        peaks = []
+        run(capsys, "effect", *student_args(), "--format", "json")  # first-call caches
+        for width in (1, 60):
+            labels = ["a" * width, "b" * width]
+            path = tmp_path / f"labels{width}.csv"
+            write_rows(path, ["g", "y", "x1", "x2"],
+                       [[labels[i % 3 == 0], *map(str, row)] for i, row in enumerate(values)])
+            (code, out, err), peak, _ = traced_peak(lambda: run(
+                capsys, "effect", "--data", str(path), "--response", "y", "--group", "g",
+                "--covariates", "x1,x2", "--format", "json"))
+            assert (code, err) == (0, "")
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < 16e3, [f"{p / 1e3:.1f} KB" for p in peaks]
 
 
 def hist_by_loading(path, edges=None):
@@ -796,13 +852,9 @@ class TestHistMemory:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("school;age;G3\n")
                 fh.writelines(lines[:rows])
-            tracemalloc.start()
-            try:
-                code, out, err = run(capsys, "hist", "--data", str(path), "--response", "G3",
-                                     "--format", "json")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            (code, out, err), peak, _ = traced_peak(lambda: run(
+                capsys, "hist", "--data", str(path), "--response", "G3", "--format", "json"))
+            peaks.append(peak)
             assert (code, err) == (0, "")
             summary = json.loads(out)["data_summary"]
             assert summary["rows_used"] + summary["dropped_rows"] == rows

@@ -1,5 +1,4 @@
 import csv
-import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from groupeffect.errors import (
     UnsortedEdgesError,
 )
 
-from conftest import student_csv_path
+from conftest import student_csv_path, traced_peak
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -408,14 +407,23 @@ class TestBlockReader:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("school;sex;age;G3\n")
             fh.writelines(f'"GP";"F";17;{g}\n' for g in grades)
-        tracemalloc.start()
-        try:
-            values, dropped = load_column(path, "G3")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (values, dropped), peak, _ = traced_peak(lambda: load_column(path, "G3"))
         assert (len(values), dropped) == (99_000, 1000)
         assert peak < 3_000_000
+
+    def test_scan_holds_one_block_of_strings(self, tmp_path):
+        # a block's cells and labels are released before the next block is
+        # read, so 2000-character labels raise the scan's peak by about one
+        # 64-row block of them (130 KB) over one-character labels, which
+        # Python caches; two blocks alive at once would add 260 KB
+        peaks = []
+        for width in (1, 2000):
+            path = write_rows(tmp_path / f"labels{width}.csv", ["g", "y"],
+                              [["ab"[i % 2] * width, str(i % 10)] for i in range(1000)])
+            _, peak, _ = traced_peak(
+                lambda: dataio.scan_csv(path, ["y"], "g", ";", lambda values, labels: None))
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 195e3, [f"{p / 1e3:.1f} KB" for p in peaks]
 
 
 class TestHeaders:

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -28,7 +27,8 @@ from groupeffect.errors import (
 )
 from groupeffect.regression import coefficient_names
 
-from conftest import FITTERS, cramer_least_squares, make_case, make_dataset, make_design
+from conftest import (FITTERS, cramer_least_squares, make_case, make_dataset, make_design,
+                      traced_peak)
 from oracles import (
     annihilator_covariates,
     annihilator_group,
@@ -605,14 +605,13 @@ class TestLinearMemory:
         # 3000 x 12 design (0.3 MB)
         ds = make_dataset(np.random.default_rng(117), n=3000, w=10)
         design = build_design(ds)
-        tracemalloc.start()
-        try:
+
+        def fit_and_report():
             fit = fitter(ds)
             effect_report(design, fit)
             standard_errors(design, fit)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak, _ = traced_peak(fit_and_report)
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_nothing_after_the_design_grows_with_n(self):
@@ -620,14 +619,13 @@ class TestLinearMemory:
         # the fit, the report and the coefficient table read only those, so
         # at n = 1e5 they allocate no n-row array (800 KB each)
         design = make_design(np.random.default_rng(120), n=100_000, w=10)
-        tracemalloc.start()
-        try:
+
+        def fit_and_report():
             fit = fit_fwl(design)
             effect_report(design, fit)
             standard_errors(design, fit)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak, _ = traced_peak(fit_and_report)
         assert peak < 64e3, f"peak {peak / 1e3:.1f} KB"
 
     def test_design_keeps_only_its_group_statistics(self):
@@ -640,12 +638,7 @@ class TestLinearMemory:
         ds = make_dataset(np.random.default_rng(120), n=100_000, w=10)
         n, w = ds.n_rows, ds.n_covariates
         block = 8 * n * (w + 1)
-        tracemalloc.start()
-        try:
-            design = build_design(ds)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        design, peak, kept = traced_peak(lambda: build_design(ds))
         assert design.n == n
         assert kept < 64e3, f"kept {kept / 1e3:.1f} KB"
         assert peak < 1.75 * block, f"peak {peak / 1e6:.2f} MB"
@@ -658,12 +651,7 @@ class TestLinearMemory:
         # factorization (1.6 blocks) exceeds 1.25.
         ds = make_dataset(np.random.default_rng(120), n=100_000, w=10)
         block = 8 * ds.n_rows * (ds.n_covariates + 1)
-        tracemalloc.start()
-        try:
-            build_design(ds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: build_design(ds))
         assert peak < 1.25 * block, f"peak {peak / block:.2f} blocks"
 
     def test_peak_does_not_depend_on_the_group_split(self):
@@ -675,13 +663,7 @@ class TestLinearMemory:
         peaks = []
         for n1 in (10_000, 13_600, 18_000):
             split = with_split(ds, n1)
-            tracemalloc.start()
-            try:
-                build_design(split)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
+            peaks.append(traced_peak(lambda: build_design(split))[1])
         assert max(peaks) - min(peaks) < 8 * ds.n_rows, [f"{p / 1e6:.2f} MB" for p in peaks]
 
 
@@ -689,8 +671,8 @@ def fold_in_chunks(ds, bounds, reference_level=None):
     """The design of ``ds`` pushed through the stream of ``stream_design``
     in file order, in runs of at most 64 rows as the reader passes them,
     each chunk (ending at one of ``bounds``) flushed, and so folded, on its
-    own; a chunk longer than the staging buffer also flushes where the
-    buffer fills."""
+    own; within a chunk the stage also flushes each time it holds
+    ``_STAGE_ROWS`` rows."""
     values = np.column_stack([ds.response, *(col for _, col in ds.covariates)])
     stream = regression._Stream(ds.n_covariates + 1)
     for lo, hi in zip([0, *bounds], [*bounds, ds.n_rows]):
@@ -700,6 +682,16 @@ def fold_in_chunks(ds, bounds, reference_level=None):
         stream.flush()
     names = tuple(name for name, _ in ds.covariates)
     return stream.design(names, reference_level, ds.source, 0)
+
+
+def push_in_runs(stream, ds, ends):
+    """The design ``stream`` gives once ``ds``'s rows are pushed into it in
+    file order, in runs ending at each of ``ends`` and at the last row, with
+    no flush called between them."""
+    values = np.column_stack([ds.response, *(col for _, col in ds.covariates)])
+    for lo, hi in zip([0, *ends], [*ends, ds.n_rows]):
+        stream.push(values[lo:hi].ravel(), ds.group_labels[lo:hi])
+    return stream.design(tuple(name for name, _ in ds.covariates), None, ds.source, 0)
 
 
 def pivot_norms(ds, pivot_row):
@@ -792,21 +784,37 @@ class TestStreamedFold:
         assert fit_fwl(got).beta1 == pytest.approx(fit_fwl(want).beta1, rel=1e-12)
 
     def test_staged_flushes_without_chunking(self):
-        # the reader's 64-row blocks, flushed only when the staging buffer
-        # fills: 1000 rows are folded a full buffer at a time, and the rest
-        # at the end
+        # runs of mixed sizes, as the reader passes them where dropped rows
+        # split its 64-row blocks; a run that straddles the end of the stage
+        # is split there, so every flush but the last folds exactly
+        # _STAGE_ROWS rows, and the last the rest
         ds = make_dataset(np.random.default_rng(134), n=1000, w=3)
-        values = np.column_stack([ds.response, *(col for _, col in ds.covariates)])
+        stage = regression._STAGE_ROWS
+        ends = [int(e) for e in np.cumsum(np.resize([50, 7, 64, 33, 1, 60], 100))
+                if e < ds.n_rows]
+        runs = list(zip([0, *ends], [*ends, ds.n_rows]))
+        assert sum(lo // stage < (hi - 1) // stage for lo, hi in runs) >= 1000 // stage
         stream = regression._Stream(ds.n_covariates + 1)
         flushes = []
         flush = stream.flush
         stream.flush = lambda: flushes.append(stream.fill) or flush()
-        for lo in range(0, ds.n_rows, 64):
-            stream.push(values[lo:lo + 64].ravel(), ds.group_labels[lo:lo + 64])
-        got = stream.design(("x1", "x2", "x3"), None, ds.source, 0)
-        stage = regression._STAGE_ROWS
-        assert stage % 64 == 0 and flushes == [stage] * (1000 // stage) + [1000 % stage]
+        got = push_in_runs(stream, ds, ends)
+        assert flushes == [stage] * (1000 // stage) + [1000 % stage]
         assert_same_statistics(got, build_design(ds))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_sizes_do_not_move_the_result(self, seed):
+        # the stage flushes at fixed row counts, so the design is a function
+        # of the rows alone: pushed in runs of random sizes 1-64 or in the
+        # reader's whole 64-row blocks, the same rows give the same bits
+        rng = np.random.default_rng(seed)
+        ds = make_dataset(rng, n=1500, w=3)
+        ends = [int(e) for e in np.cumsum(rng.integers(1, 65, ds.n_rows)) if e < ds.n_rows]
+        k = ds.n_covariates + 1
+        got = push_in_runs(regression._Stream(k), ds, ends)
+        want = push_in_runs(regression._Stream(k), ds, range(64, ds.n_rows, 64))
+        for f in fields(want):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
 
     def test_build_design_and_the_stream_share_the_fold(self, monkeypatch, tmp_path):
         # one core: build_design folds each group once, the stream once per
