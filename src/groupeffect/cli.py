@@ -7,8 +7,9 @@ plain text or a JSON document with fixed top-level keys
 {config, data_summary, coefficients, effect, distributions}.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 input/data errors,
-3 numeric/model errors. ``main`` may be called repeatedly in one process;
-it builds its parser on the first call and reuses it.
+3 numeric/model errors, an ArithmeticError such as OverflowError among
+them. ``main`` may be called repeatedly in one process; it builds its
+parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, ValueError, FloatingPointError) as exc:
+    except (NumericError, ValueError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

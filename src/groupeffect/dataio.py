@@ -13,17 +13,18 @@ One reader, :func:`scan_csv`, serves both loaders here,
 without holding the column, and ``regression.stream_design``, which builds
 a design the same way. It takes the rows in blocks of 64 and drops rows
 too short to reach a selected column or with an empty group label. It then
-checks the block's selected cells at once on their "|"-joined text and
-converts them with one np.fromiter. Where the check fails, one scan of that
-text finds each row it rejects: the rows before it are converted at once,
-that row alone goes through the per-cell regex, and the scan goes on from
-the next row. A converted run holding a cell that overflowed to inf loses
-that cell's row there, and each run of kept rows goes to the caller, so no
-caller checks finiteness or drops a row. A block's strings are released
-before the next block is read, so one block of them is alive at a time.
-The result is the same as parsing cell by cell. A leading UTF-8 BOM is
-skipped. A selected column name that occurs more than once in the header
-is an error, and so is a column selected twice.
+checks the block's selected cells at once on their "|"-joined text. Where
+the check fails, one scan of that text finds each row it stops at, and
+that row alone goes through the per-cell regex: a rejected row leaves the
+block, an accepted one stays as floats. The rest of the block is converted
+with one np.fromiter, and one finiteness check drops the rows holding a
+cell that overflowed to inf. The block's cell strings and their text are
+released first, and then the block's kept rows go to the caller in one
+call, so no caller checks finiteness or drops a row, and no block of
+strings is alive while the caller works. The result is the same as
+parsing cell by cell. A leading UTF-8 BOM is skipped. A selected column
+name that occurs more than once in the header is an error, and so is a
+column selected twice.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _float_or_nan(cell: str) -> float:
 
 def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
     """The block reader behind every loader: parse the selected columns of
-    ``path`` and pass each run of kept rows, in file order, to
+    ``path`` and pass the kept rows of each block, in file order, to
     ``take(values, labels)``. ``values`` is a flat float64 array, the
     ``numeric_cols`` cells of each row in turn; ``labels`` iterates over the
     rows' ``group_col`` cells (it is empty when ``group_col`` is None).
@@ -162,16 +163,19 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
     among them. Bytes that are not UTF-8 and rows the csv module rejects
     (such as a field over ``csv.field_size_limit()``) raise DataError.
 
-    Rows are read in blocks of ``_BLOCK_ROWS``, so a run holds at most that
-    many rows. Each block's cells are joined once and scanned from left to
-    right for the first cell outside the ``_BLOCK_RE`` alphabet or empty;
-    the rows before it are converted with one np.fromiter, its row alone
-    goes through ``_parse_number``, and the scan resumes at the next row. A
-    run that passes the scan but holds a cell float() rejects (" ", "+-1")
-    is converted cell by cell once, such a cell reading as NaN. One
-    np.isfinite over the converted run then drops the rows holding a NaN
-    or an inf. So each cell is scanned once and converted at most twice,
-    and a row the scan stops at costs one ``_parse_number`` call per cell.
+    Rows are read in blocks of ``_BLOCK_ROWS``, and ``take`` is called once
+    per block that keeps a row. Each block's cells are joined once and
+    scanned from left to right for the first cell outside the ``_BLOCK_RE``
+    alphabet or empty; that cell's row alone goes through
+    ``_parse_number``, which deletes it from the block or writes its floats
+    back in place, and the scan resumes at the next row. The block is then
+    converted with one np.fromiter; if it holds a cell float() rejects
+    (" ", "+-1"), it is converted cell by cell once more, such a cell
+    reading as NaN. One np.isfinite over the block then drops the rows
+    holding a NaN or an inf. So each cell is scanned once and converted at
+    most twice, and a row the scan stops at costs one ``_parse_number``
+    call per cell. The cell list and the joined text are released before
+    ``take`` is called.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DataError(f"delimiter must be one character, got {delimiter!r}")
@@ -206,10 +210,6 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
             def complete(row):
                 return len(row) >= width and (label is None or label(row) != "")
 
-            def exact(cells):
-                vals = list(map(_parse_number, cells))
-                return None if None in vals else np.array(vals)
-
             def labels_of(rows):
                 return [] if label is None else list(map(label, rows))
 
@@ -234,6 +234,7 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                 if text.count("|") != len(cells) - 1:
                     text = "|".join([c.replace("|", "\0") for c in cells])
                 text = f"|{text}|"
+                rejected = []
                 r = off = 0  # text[off] is the "|" before the first cell of row r
                 while r < n:
                     # the first empty cell, else the first character outside
@@ -242,31 +243,36 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                     stop = text.find("||", off, end) + 1 or end
                     s = (n if stop == len(text)
                          else r + (text.count("|", off, stop) - 1) // k)
-                    if s > r:
-                        run = cells[r * k:s * k]
-                        try:
-                            vals = np.fromiter(map(float, run), float, len(run))
-                        except ValueError:  # " ", "+-1", "1.2.3": float() alone rejects
-                            vals = np.fromiter(map(_float_or_nan, run), float, len(run))
-                        del run  # its list of cells is not kept alive through take
-                        if np.isfinite(vals).all():
-                            take(vals, labels[r:s])
-                        else:  # a rejected cell (nan) or an overflowed one ("1e999")
-                            vals = vals.reshape(-1, k)
-                            ok = np.isfinite(vals).all(axis=1)
-                            dropped += len(ok) - int(ok.sum())
-                            if ok.any():
-                                take(vals[ok].reshape(-1), compress(labels[r:s], ok))
-                        del vals  # not alive while the next block is read
                     if s < n:
-                        row = exact(cells[s * k:(s + 1) * k])
-                        if row is None:
-                            dropped += 1
-                        else:
-                            take(row, labels[s:s + 1])
                         off += sum(map(len, cells[r * k:(s + 1) * k])) + (s + 1 - r) * k
+                        row = list(map(_parse_number, cells[s * k:(s + 1) * k]))
+                        if None in row:
+                            rejected.append(s)
+                        else:
+                            cells[s * k:(s + 1) * k] = row
                     r = s + 1
-                del cells, labels, text  # not alive while the next block is read
+                del text
+                for s in reversed(rejected):
+                    del cells[s * k:(s + 1) * k]
+                    if label is not None:
+                        del labels[s]
+                dropped += len(rejected)
+                if cells:
+                    try:
+                        vals = np.fromiter(map(float, cells), float, len(cells))
+                    except ValueError:  # " ", "+-1", "1.2.3": float() alone rejects
+                        vals = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+                    del cells  # no string of the block is alive through take
+                    if np.isfinite(vals).all():
+                        take(vals, labels)
+                    else:  # a rejected cell (nan) or an overflowed one ("1e999")
+                        vals = vals.reshape(-1, k)
+                        ok = np.isfinite(vals).all(axis=1)
+                        dropped += len(ok) - int(ok.sum())
+                        if ok.any():
+                            take(vals[ok].reshape(-1), compress(labels, ok))
+                    del vals  # not alive while the next block is read
+                del labels  # nor are the labels
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
                         f"(byte 0x{exc.object[exc.start]:02x})") from None
@@ -280,7 +286,7 @@ def _read(path, numeric_cols, group_col, delimiter):
 
     Returns (values, labels, dropped): ``values`` is an (m, k) float64 array
     of the k ``numeric_cols`` for the m kept rows, ``labels`` the kept rows'
-    ``group_col`` cells (empty when ``group_col`` is None): the runs
+    ``group_col`` cells (empty when ``group_col`` is None): the blocks
     :func:`scan_csv` passes on, joined at the end.
     """
     blocks, labels = [], []
@@ -387,7 +393,7 @@ def _unit_bins_problem(lo: float, hi: float) -> str | None:
 class _BinCounter:
     """The bin counter of :func:`stream_histogram`, fed by the reader.
 
-    :meth:`push` stages each run of values the reader passes; every
+    :meth:`push` stages each block of values the reader passes; every
     ``_HIST_STAGE`` values :meth:`flush` counts them into ``counts``: with
     np.histogram over ``edges`` or, when ``edges`` is None, by floor(v) into
     unit bins from ``base`` on, re-based as the range grows. A value's bin

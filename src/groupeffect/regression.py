@@ -223,13 +223,14 @@ def stream_design(path, response_col: str, group_col: str, covariate_cols=(),
     arguments, built as the file is read without holding its rows.
 
     Returns (design, rows_used, dropped_rows). The reader
-    (:func:`dataio.scan_csv`) passes its runs of kept rows to a staging
-    buffer of ``_STAGE_ROWS`` rows of floats and one label code byte per
-    row, which is folded into each label's :class:`_Group` each time it is
-    full (see :class:`_Stream`), so memory does not grow with the file and
-    the result depends on the kept rows alone, not on where the reader's
-    runs end. Every row is shifted by the first row kept, where
-    build_design takes group 1's first. The group order and
+    (:func:`dataio.scan_csv`) converts each 64-row block once and, with
+    the block's strings released, passes its kept rows in one call to a
+    staging buffer of ``_STAGE_ROWS`` rows of floats and one label code
+    byte per row, which is folded into each label's :class:`_Group` each
+    time it is full (see :class:`_Stream`), so memory does not grow with
+    the file and the result depends on the kept rows alone, not on how the
+    reader groups them into calls. Every row is shifted by the first row
+    kept, where build_design takes group 1's first. The group order and
     ``reference_level`` are settled at the end, and the errors are those
     of ``load_csv`` followed by ``build_design``, in the same order. The
     rows dropped are the reader's; every row it passes is used.
@@ -346,10 +347,11 @@ class _Stream:
     the row's values into a column of ``stage``, whose rows are the
     reader's columns [y, X2]. Each time ``_STAGE_ROWS`` rows are staged,
     :meth:`flush` shifts them by the pivot and folds each label's rows,
-    taken straight from the stage as [X2 | y], into its :class:`_Group`. A
-    run that straddles the end of the stage is split, so every flush but
-    the last holds exactly ``_STAGE_ROWS`` rows: the design depends on the
-    kept rows alone, not on how the reader cut them into runs. Nothing but
+    taken straight from the stage as [X2 | y], into its :class:`_Group`.
+    The reader pushes one block's kept rows at a time; a push that
+    straddles the end of the stage is split, so every flush but the last
+    holds exactly ``_STAGE_ROWS`` rows: the design depends on the kept
+    rows alone, not on how the reader groups them into pushes. Nothing but
     the stage, the codes and the folded statistics outlives a push; no
     label string is kept. The reader passes kept rows only, so ``codes``
     holds exactly the labels of kept rows. Once a third label turns up, no
@@ -366,8 +368,8 @@ class _Stream:
         self.n = 0
 
     def push(self, values: np.ndarray, labels) -> None:
-        """Stage a run of rows as the reader passes it: ``values`` holds
-        [y, X2] per row, ``labels`` one label per row."""
+        """Stage rows as the reader passes them: ``values`` holds [y, X2]
+        per row, ``labels`` one label per row."""
         columns = values.reshape(-1, len(self.stage)).T
         codes = bytes(map(self.codes.__getitem__, labels))
         at = 0

@@ -161,6 +161,16 @@ class TestEffectCommand:
         assert code == 3
         assert "RankDeficientDesign" in err and "flat" in err
 
+    @pytest.mark.parametrize("command", ["effect", "fit"])
+    def test_arithmetic_error_exits_3_with_one_line(self, capsys, monkeypatch, command):
+        def overflow(design):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(cli, "fit_fwl", overflow)
+        code, out, err = run(capsys, command, *student_args("Fedu"))
+        assert (code, out) == (3, "")
+        assert err == "error: OverflowError: (34, 'Numerical result out of range')\n"
+
     def test_invalid_precision_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["effect", *student_args(), "--precision", "40"])
@@ -640,11 +650,11 @@ def write_rows(path, header, rows):
 class TestStreamedRows:
     @pytest.mark.parametrize("command", ["effect", "fit"])
     def test_result_depends_only_on_the_kept_rows(self, capsys, tmp_path, command):
-        # 5% of the rows hold a cell the reader drops them for; each one
-        # splits its 64-row block into two runs, so the runs differ from
-        # those of the same file without these rows. The stage flushes at
-        # fixed row counts, so every number must come out the same bit for
-        # bit, and only dropped_rows differ.
+        # 5% of the rows hold a cell the reader drops them for, so its
+        # 64-row blocks pass on fewer rows than those of the same file
+        # without these rows. The stage flushes at fixed row counts, so
+        # every number must come out the same bit for bit, and only
+        # dropped_rows differ.
         rng = np.random.default_rng(142)
         n, w = 3000, 3
         values = rng.standard_normal((n, w + 1)) * [1.0, 3.0, 1e3, 0.01] + [50, 0, 1e6, 1]

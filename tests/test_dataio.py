@@ -1,4 +1,7 @@
 import csv
+import gc
+import sys
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -352,6 +355,54 @@ class TestBlockReader:
         values, labels, dropped = _read(path, ["y", "x"], "g", ";")
         assert (len(values), dropped) == (0, n)
         assert 0 < sum(counts) <= 2 * 2 * n
+
+    @pytest.mark.parametrize("numeric, group", [(["y"], None), (["y", "x"], "g")])
+    def test_one_take_per_block(self, tmp_path, numeric, group):
+        # rejected rows are deleted from their block before it is converted,
+        # so they do not split it: 200 rows make 4 blocks and 4 calls
+        rows = [["A" if i % 2 else "B", f"{i}.5", str(-i)] for i in range(200)]
+        for n, i in enumerate([3, 63, 64, 65, 128]):
+            rows[i][1 + n % len(numeric)] = ["", "NA", "1e999"][n % 3]
+        path = write_rows(tmp_path / "b.csv", ["g", "y", "x"], rows)
+        calls, run_labels = [], []
+
+        def take(vals, row_labels):
+            calls.append(vals)
+            run_labels.extend(row_labels)
+
+        dropped = dataio.scan_csv(path, numeric, group, ";", take)
+        want_values, want_labels, want_dropped = reference_read(path, numeric, group)
+        assert len(calls) == 4 and dropped == want_dropped == 5
+        np.testing.assert_array_equal(
+            np.concatenate(calls).reshape(-1, len(numeric)), want_values)
+        assert run_labels == want_labels
+
+    def test_take_holds_no_cell_strings(self, tmp_path):
+        # a block's cells and their joined text are released before take is
+        # called, so 300-character cells raise the memory traced inside take
+        # by under a quarter of one block of them over 3-character cells; the
+        # block and its joined text would add about 1.7 blocks
+        long_cell = "1." + "0" * 298
+        inside = []
+        for cell in ("1.0", long_cell):
+            path = write_rows(tmp_path / f"c{len(cell)}.csv", list("abcd"),
+                              [[cell] * 4] * 1000)
+            traced = []
+
+            def take(vals, labels):
+                traced.append(tracemalloc.get_traced_memory()[0])
+
+            dataio.scan_csv(path, list("abcd"), None, ";", lambda *_: None)  # warm-up
+            tracemalloc.start()
+            try:
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                dataio.scan_csv(path, list("abcd"), None, ";", take)
+            finally:
+                tracemalloc.stop()
+            inside.append(max(traced) - before)
+        block = dataio._BLOCK_ROWS * 4 * sys.getsizeof(long_cell)
+        assert inside[1] - inside[0] < block / 4, (inside, block)
 
     def test_empty_labels_at_block_boundaries(self, tmp_path):
         rows = [["A" if i % 2 else "B", str(i)] for i in range(200)]

@@ -785,8 +785,8 @@ class TestStreamedFold:
 
     def test_staged_flushes_without_chunking(self):
         # runs of mixed sizes, as the reader passes them where dropped rows
-        # split its 64-row blocks; a run that straddles the end of the stage
-        # is split there, so every flush but the last folds exactly
+        # leave its 64-row blocks short; a run that straddles the end of the
+        # stage is split there, so every flush but the last folds exactly
         # _STAGE_ROWS rows, and the last the rest
         ds = make_dataset(np.random.default_rng(134), n=1000, w=3)
         stage = regression._STAGE_ROWS
