@@ -11,9 +11,12 @@ selected column are dropped and counted.
 One reader, :func:`scan_csv`, serves both loaders here,
 :func:`stream_histogram`, which counts a column's bins as the file is read
 without holding the column, and ``regression.stream_design``, which builds
-a design the same way. It takes the rows in blocks of 64 and drops rows
-too short to reach a selected column or with an empty group label. It then
-checks the block's selected cells at once on their "|"-joined text. Where
+a design the same way. It reads the rows in blocks of 64 and picks each
+row's selected cells as the row is read, so a block never holds an
+unselected cell and its memory does not grow with the file's width. It
+drops rows too short to reach a selected column or with an empty group
+label. It then checks the block's selected cells at once on their
+"|"-joined text. Where
 the check fails, one scan of that text finds each row it stops at, and
 that row alone goes through the per-cell regex: a rejected row leaves the
 block, an accepted one stays as floats. The rest of the block is converted
@@ -33,7 +36,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -67,8 +70,10 @@ MAX_DEFAULT_BINS = 10_000
 # Integers up to this magnitude are exact floats; past it unit edges collide.
 _EXACT_INT = 2 ** 53
 # Values staged between two counting passes of stream_histogram: each pass
-# costs a fixed ~10 numpy calls, and the stage's size adds to the peak.
-_HIST_STAGE = 4096
+# costs a fixed ~10 numpy calls, and the stage's size adds to the peak. A
+# flush holds the staged runs and their concatenation at once, 2 x 8 KB at
+# this size; the reader holds no whole rows, so this sets hist's peak.
+_HIST_STAGE = 1024
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,13 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
     (such as a field over ``csv.field_size_limit()``) raise DataError.
 
     Rows are read in blocks of ``_BLOCK_ROWS``, and ``take`` is called once
-    per block that keeps a row. Each block's cells are joined once and
+    per block that keeps a row. Each row's selected cells, its group label
+    last, are picked as ``csv.reader`` yields the row, so a block holds
+    only selected cells and the row's other cells die with it. A row too
+    short to reach a selected cell raises IndexError in the pick and is
+    dropped, and the pick resumes at the next row. The labels are then
+    split off, and rows with an empty label dropped. Each block's cells
+    are joined once and
     scanned from left to right for the first cell outside the ``_BLOCK_RE``
     alphabet or empty; that cell's row alone goes through
     ``_parse_number``, which deletes it from the block or writes its floats
@@ -198,34 +209,35 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                 if count > 1:
                     raise DuplicateColumnError(name, count)
             idx = [header.index(name) for name in numeric_cols]
-            label = None if group_col is None else itemgetter(header.index(group_col))
-            width = max(map(header.index, selected)) + 1
-            k = len(idx)
-            pick = itemgetter(*idx)  # a bare cell when k == 1, else a tuple
-
-            def cells_of(rows):
-                picked = map(pick, rows)  # IndexError: a row too short
-                return list(picked if k == 1 else chain.from_iterable(picked))
-
-            def complete(row):
-                return len(row) >= width and (label is None or label(row) != "")
-
-            def labels_of(rows):
-                return [] if label is None else list(map(label, rows))
-
+            if group_col is not None:
+                idx.append(header.index(group_col))
+            k = len(numeric_cols)
+            pick = itemgetter(*idx)  # a bare cell when len(idx) == 1, else a tuple
             dropped = 0
-            for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-                try:
-                    cells, labels = cells_of(rows), labels_of(rows)
-                    all_complete = all(labels)
-                except IndexError:
-                    all_complete = False
-                if not all_complete:  # drop short rows and empty labels first
-                    read, rows = len(rows), list(filter(complete, rows))
-                    dropped += read - len(rows)
-                    cells, labels = cells_of(rows), labels_of(rows)
-                n = len(rows)
-                del rows  # the selected cells are all that is read from here on
+            while True:
+                rows, cells, short = islice(reader, _BLOCK_ROWS), [], 0
+                while True:
+                    try:
+                        if len(idx) == 1:
+                            cells.extend(map(pick, rows))
+                        else:  # any() only drives the extends, each one row's tuple
+                            any(map(cells.extend, map(pick, rows)))
+                        break
+                    except IndexError:  # a row too short to reach a selected
+                        short += 1      # cell; the rows before it are in cells
+                if not cells and not short:  # the reader is exhausted
+                    break
+                dropped += short
+                labels = []
+                if group_col is not None:
+                    labels = cells[k::k + 1]
+                    del cells[k::k + 1]
+                    if not all(labels):  # an empty group label drops its row
+                        for s in reversed(range(len(labels))):
+                            if not labels[s]:
+                                del cells[s * k:(s + 1) * k], labels[s]
+                                dropped += 1
+                n = len(cells) // k
                 if not n:
                     continue
                 # "|" before each cell and after the last, so an empty cell is
@@ -254,7 +266,7 @@ def scan_csv(path, numeric_cols, group_col, delimiter, take) -> int:
                 del text
                 for s in reversed(rejected):
                     del cells[s * k:(s + 1) * k]
-                    if label is not None:
+                    if group_col is not None:
                         del labels[s]
                 dropped += len(rejected)
                 if cells:
@@ -394,7 +406,8 @@ class _BinCounter:
     """The bin counter of :func:`stream_histogram`, fed by the reader.
 
     :meth:`push` stages each block of values the reader passes; every
-    ``_HIST_STAGE`` values :meth:`flush` counts them into ``counts``: with
+    ``_HIST_STAGE`` (1024) values :meth:`flush` concatenates the staged
+    blocks and counts them into ``counts``: with
     np.histogram over ``edges`` or, when ``edges`` is None, by floor(v) into
     unit bins from ``base`` on, re-based as the range grows. A value's bin
     depends on no other value, so the counts are those of one np.histogram

@@ -272,8 +272,11 @@ def _finish_design(labels, groups, names, pivot) -> PartitionedDesign:
         )
     mean1, mean2 = first.mean, second.mean
     r = _qr_r(np.vstack([first.r, second.r]).T.copy())
-    # a shifted column's sum of squares is its centered part plus n_j mean_j^2
-    norms = np.sqrt(np.einsum("ij,ij->j", r, r) + n1 * mean1**2 + n2 * mean2**2)
+    # a shifted column's sum of squares is its centered part plus n_j mean_j^2;
+    # past about 1e154 it is inf, and numpy's overflow warning is silenced so
+    # that stderr carries only the CLI's own error line
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->j", r, r) + n1 * mean1**2 + n2 * mean2**2)
     dependent = _first_negligible(r, n, norms, 0, w)
     if dependent is not None:
         raise RankDeficientDesignError(names[dependent])

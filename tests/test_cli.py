@@ -171,6 +171,22 @@ class TestEffectCommand:
         assert (code, out) == (3, "")
         assert err == "error: OverflowError: (34, 'Numerical result out of range')\n"
 
+    @pytest.mark.parametrize("covariates", [[], ["--covariates", "a,b"]],
+                             ids=["w0", "w2"])
+    @pytest.mark.parametrize("command", ["effect", "fit"])
+    def test_overflowing_fit_exits_3_with_one_line(self, capsys, tmp_path, command,
+                                                   covariates):
+        # with y near 1e155 its sum of squares overflows; numpy's overflow
+        # warning must not reach stderr ahead of the one error line
+        rng = np.random.default_rng(155)
+        rows = [["ab"[i % 2], repr(y * 1e155), repr(a), repr(b)]
+                for i, (y, a, b) in enumerate(rng.standard_normal((500, 3)).tolist())]
+        write_rows(tmp_path / "big.csv", ["g", "y", "a", "b"], rows)
+        code, out, err = run(capsys, command, "--data", str(tmp_path / "big.csv"),
+                             "--response", "y", "--group", "g", *covariates)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1, err
+
     def test_invalid_precision_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["effect", *student_args(), "--precision", "40"])
@@ -869,6 +885,36 @@ class TestHistMemory:
             summary = json.loads(out)["data_summary"]
             assert summary["rows_used"] + summary["dropped_rows"] == rows
         assert abs(peaks[1] - peaks[0]) < 8 * STAGE, [f"{p / 1e3:.1f} KB" for p in peaks]
+
+
+class TestWidthMemory:
+    def test_peak_does_not_grow_with_unselected_columns(self, capsys, tmp_path):
+        # the reader keeps only each row's selected cells, so 296 unselected
+        # columns, quoted strings and decimals in turn, must raise the peaks
+        # of hist and effect by under 64 KB each; a block of 64 whole rows
+        # of them takes about 1.1 MB
+        rng = np.random.default_rng(171)
+        rows = [["ab"[i % 3 == 0], *map(str, row)]
+                for i, row in enumerate(rng.standard_normal((2000, 3)).round(4).tolist())]
+        filler = [f'"s{j}"' if j % 2 else f"{j}.{j % 7}5" for j in range(296)]
+        narrow, padded = tmp_path / "narrow.csv", tmp_path / "padded.csv"
+        write_rows(narrow, ["g", "y", "a", "b"], rows)
+        write_rows(padded, [f"f{j}" for j in range(148)] + ["g", "y", "a", "b"]
+                   + [f"f{j}" for j in range(148, 296)],
+                   [filler[:148] + row + filler[148:] for row in rows])
+        for argv in (["hist", "--response", "y", "--format", "json"],
+                     ["effect", "--response", "y", "--group", "g", "--covariates", "a,b",
+                      "--format", "json"]):
+            run(capsys, argv[0], "--data", str(narrow), *argv[1:])  # first-call caches
+            outs, peaks = [], []
+            for path in (narrow, padded):
+                (code, out, err), peak, _ = traced_peak(
+                    lambda: run(capsys, argv[0], "--data", str(path), *argv[1:]))
+                assert (code, err) == (0, "")
+                outs.append(out.replace(str(path), "data.csv"))
+                peaks.append(peak)
+            assert outs[0] == outs[1]
+            assert peaks[1] - peaks[0] < 64e3, (argv[0], [f"{p / 1e3:.1f} KB" for p in peaks])
 
 
 class _ClosedStdout:

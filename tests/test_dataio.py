@@ -359,10 +359,12 @@ class TestBlockReader:
     @pytest.mark.parametrize("numeric, group", [(["y"], None), (["y", "x"], "g")])
     def test_one_take_per_block(self, tmp_path, numeric, group):
         # rejected rows are deleted from their block before it is converted,
-        # so they do not split it: 200 rows make 4 blocks and 4 calls
+        # and short rows never enter it, so neither splits it: 200 rows make
+        # 4 blocks and 4 calls
         rows = [["A" if i % 2 else "B", f"{i}.5", str(-i)] for i in range(200)]
         for n, i in enumerate([3, 63, 64, 65, 128]):
             rows[i][1 + n % len(numeric)] = ["", "NA", "1e999"][n % 3]
+        rows[10], rows[100] = [], rows[100][:1]  # a blank line and a short row
         path = write_rows(tmp_path / "b.csv", ["g", "y", "x"], rows)
         calls, run_labels = [], []
 
@@ -372,10 +374,42 @@ class TestBlockReader:
 
         dropped = dataio.scan_csv(path, numeric, group, ";", take)
         want_values, want_labels, want_dropped = reference_read(path, numeric, group)
-        assert len(calls) == 4 and dropped == want_dropped == 5
+        assert len(calls) == 4 and dropped == want_dropped == 7
         np.testing.assert_array_equal(
             np.concatenate(calls).reshape(-1, len(numeric)), want_values)
         assert run_labels == want_labels
+
+    @pytest.mark.parametrize("short_at, empty_at", [
+        pytest.param([64], [], id="first-of-block"),
+        pytest.param([127], [], id="last-of-block"),
+        pytest.param(list(range(128, 192)), [], id="whole-block"),
+        pytest.param([11, 64], [10, 63], id="after-empty-label"),
+    ])
+    @pytest.mark.parametrize("numeric, group", [(["x2"], None), (["x2", "x0", "x1"], "g")])
+    def test_short_rows_anywhere_in_a_block(self, tmp_path, short_at, empty_at,
+                                            numeric, group):
+        # a short row raises IndexError as its cells are picked, after the
+        # rows before it in its block are kept; the pick resumes with the
+        # row after it. Rows are cut to 0 (a blank line) to 3 cells.
+        rows = [["A" if i % 2 else "B", f"{i}.5", str(-i), f"{i}e-2"] for i in range(200)]
+        for i in empty_at:
+            rows[i][0] = ""
+        for n, i in enumerate(short_at):
+            del rows[i][n % 4:]
+        path = write_rows(tmp_path / "s.csv", ["g", "x0", "x1", "x2"], rows)
+        calls, run_labels = [], []
+
+        def take(vals, row_labels):
+            calls.append(vals)
+            run_labels.extend(row_labels)
+
+        dropped = dataio.scan_csv(path, numeric, group, ";", take)
+        want_values, want_labels, want_dropped = reference_read(path, numeric, group)
+        np.testing.assert_array_equal(
+            np.concatenate(calls).reshape(-1, len(numeric)), want_values)
+        assert run_labels == want_labels
+        assert dropped == want_dropped == len(short_at) + len(empty_at) * (group is not None)
+        assert len(calls) == (3 if len(short_at) == 64 else 4)
 
     def test_take_holds_no_cell_strings(self, tmp_path):
         # a block's cells and their joined text are released before take is
