@@ -811,8 +811,10 @@ class TestHistStreaming:
     """hist counts its bins as the file is read; its output and its errors
     must be those of loading the column and binning it."""
 
-    # row counts around the counter's stage of S values: S - 1, S, S + 1, 2S + 1
-    @pytest.mark.parametrize("n", [1, 65, STAGE - 1, STAGE, STAGE + 1, 2 * STAGE + 1])
+    # row counts around the counter's stage of S values: S - 1, S, S + 1, 2S + 1;
+    # then around 4096 and past 8192 rows, several flushes with a partial run last
+    @pytest.mark.parametrize("n", [1, 65, STAGE - 1, STAGE, STAGE + 1, 2 * STAGE + 1,
+                                   4095, 4096, 4097, 8193])
     @pytest.mark.parametrize("edges", ["default", "sorted", "unsorted"])
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(data=st.data(),
